@@ -176,6 +176,40 @@ def _sgm(t: np.ndarray):
 def value(spec: ActivationSpec, x):
     """Evaluate sigma(x).  Accepts a scalar or an ndarray."""
     arr = _check_input(x)
+    return _ret(arr, _value(spec, arr))
+
+
+def d1(spec: ActivationSpec, x):
+    """First derivative sigma'(x).
+
+    ReLU and LeakyReLU return the right-hand derivative at their kink and
+    emit a SubgradientWarning there.
+    """
+    arr = _check_input(x)
+    return _ret(arr, _d1(spec, arr))
+
+
+# The kernels below take a float64 array the caller has already checked for
+# finiteness; the network checks each pre-activation once, where it is made.
+
+
+def _shares_logistic(spec: ActivationSpec) -> bool:
+    return spec.kind == "swish" or (spec.kind == "rct_af" and spec.beta > 0)
+
+
+def _value_d1(spec: ActivationSpec, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigma and sigma' together, from one logistic evaluation where both use
+    it; bit for bit the same as _value and _d1."""
+    if not _shares_logistic(spec):
+        return _value(spec, arr), _d1(spec, arr)
+    t = arr if spec.kind == "swish" else spec.alpha * arr
+    s, g, m = _sgm(t)
+    if spec.kind == "rct_af" and spec.beta == 2:
+        return (s + t * g) * arr, s + 3.0 * t * g + t * t * g * m
+    return arr * s, s + t * g
+
+
+def _value(spec: ActivationSpec, arr: np.ndarray) -> np.ndarray:
     k = spec.kind
     if k == "rct_af":
         t = spec.alpha * arr
@@ -200,33 +234,22 @@ def value(spec: ActivationSpec, x):
         out = arr * np.tanh(np.logaddexp(0.0, arr))
     else:  # softplus
         out = np.logaddexp(0.0, arr)
-    return _ret(arr, out)
+    return out
 
 
-def d1(spec: ActivationSpec, x):
-    """First derivative sigma'(x).
-
-    ReLU and LeakyReLU return the right-hand derivative at their kink and
-    emit a SubgradientWarning there.
-    """
-    arr = _check_input(x)
+def _d1(spec: ActivationSpec, arr: np.ndarray) -> np.ndarray:
     k = spec.kind
-    if k == "rct_af":
-        t = spec.alpha * arr
-        s, g, m = _sgm(t)
-        if spec.beta == 0:
-            out = s
-        elif spec.beta == 1:
-            out = s + t * g
-        else:
-            out = s + 3.0 * t * g + t * t * g * m
+    if _shares_logistic(spec):
+        out = _value_d1(spec, arr)[1]
+    elif k == "rct_af":  # beta = 0
+        out = expit(spec.alpha * arr)
     elif k in ("relu", "leaky_relu"):
         if np.any(arr == 0.0):
             warnings.warn(
                 f"{k} is not differentiable at x = 0; returning the "
                 "right-hand derivative",
                 SubgradientWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         neg = 0.0 if k == "relu" else spec.slope
         out = np.where(arr >= 0, 1.0, neg)
@@ -235,16 +258,13 @@ def d1(spec: ActivationSpec, x):
     elif k == "gelu":
         phi = _INV_SQRT_2PI * np.exp(-0.5 * arr * arr)
         out = 0.5 * (1.0 + erf(arr / _SQRT2)) + arr * phi
-    elif k == "swish":
-        s, g, _ = _sgm(arr)
-        out = s + arr * g
     elif k == "mish":
         sp = np.logaddexp(0.0, arr)
         th = np.tanh(sp)
         out = th + arr * (1.0 - th * th) * expit(arr)
     else:  # softplus
         out = expit(arr)
-    return _ret(arr, out)
+    return out
 
 
 def d2(spec: ActivationSpec, x):

@@ -90,7 +90,7 @@ def d_table(net: Network, trace: ForwardTrace, deltas: Deltas) -> DTable:
     for l in range(L - 2, -1, -1):
         W_next = net.weights[l + 1]
         s = W_next.T @ deltas.delta[l + 1]
-        sig1 = act.d1(net.activation, trace.z[l])
+        sig1 = trace.d1[l]
         sig2 = act.d2(net.activation, trace.z[l])
         back = (W_next * W_next).T @ d[l + 1]
         if off is not None:

@@ -129,20 +129,25 @@ class BatchTrace:
     """Forward pass over a batch: z[l-1] and h[l-1] are layer-l arrays.
 
     h has one extra leading entry, h[0] = X; f collects the scalar outputs.
+    d1[l-1] is sigma'(z[l-1]) for each hidden layer when the pass was run
+    for a backward pass, and None otherwise.
     """
 
     z: list[np.ndarray]
     h: list[np.ndarray]
     f: np.ndarray
+    d1: list[np.ndarray] | None = None
 
 
 @dataclass
 class ForwardTrace:
-    """Per-sample forward pass: z per layer, h per layer with h[0] = x."""
+    """Per-sample forward pass: z per layer, h per layer with h[0] = x, and
+    sigma'(z) per hidden layer for the backward passes."""
 
     z: list[np.ndarray]
     h: list[np.ndarray]
     f: float
+    d1: list[np.ndarray]
 
 
 @dataclass
@@ -159,50 +164,70 @@ def _check_batch(net: Network, X) -> np.ndarray:
     return X
 
 
-def forward_batch(net: Network, X) -> BatchTrace:
+def _as_row(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("forward expects a 1-D input vector")
+    return x[None, :]
+
+
+def forward_batch(net: Network, X, *, with_d1: bool = False) -> BatchTrace:
+    """Forward pass over the rows of X.
+
+    Every hidden pre-activation is checked for finiteness once, here, and
+    raises ValueError if it is not.  with_d1 keeps sigma'(z) of each hidden
+    layer, taken from the same activation evaluation as sigma(z), for a
+    backward pass; forward-only callers leave it off.
+    """
     X = _check_batch(net, X)
     L = net.depth
     z_list, h_list = [], [X]
+    d1_list = [] if with_d1 else None
     a = X
     for l in range(L):
         z = a @ net.weights[l].T + net.biases[l]
         z_list.append(z)
         if l < L - 1:
-            a = act.value(net.activation, z)
+            act._check_input(z)
+            if with_d1:
+                a, slope = act._value_d1(net.activation, z)
+                d1_list.append(slope)
+            else:
+                a = act._value(net.activation, z)
             h_list.append(a)
-    return BatchTrace(z_list, h_list, z_list[-1][:, 0])
+    return BatchTrace(z_list, h_list, z_list[-1][:, 0], d1_list)
 
 
 def forward(net: Network, x) -> ForwardTrace:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("forward expects a 1-D input vector")
-    bt = forward_batch(net, x[None, :])
-    return ForwardTrace(
-        [z[0] for z in bt.z], [h[0] for h in bt.h], float(bt.f[0])
-    )
+    """Per-sample forward pass, keeping sigma' for backprop_deltas and the
+    Hessian recursion."""
+    bt = forward_batch(net, _as_row(x), with_d1=True)
+    return ForwardTrace([z[0] for z in bt.z], [h[0] for h in bt.h], float(bt.f[0]),
+                        [d[0] for d in bt.d1])
 
 
 def batch_deltas(net: Network, trace: BatchTrace) -> list[np.ndarray]:
+    """delta^(l) per layer from a trace made with with_d1=True."""
     L = net.depth
     n = trace.f.shape[0]
     delta = [None] * L
     delta[L - 1] = np.ones((n, 1))
     for l in range(L - 2, -1, -1):
-        back = delta[l + 1] @ net.weights[l + 1]
-        delta[l] = act.d1(net.activation, trace.z[l]) * back
+        # delta^(L) is all ones, so delta^(L) @ W^(L) is the row W^(L) itself.
+        back = net.weights[l + 1] if l == L - 2 else delta[l + 1] @ net.weights[l + 1]
+        delta[l] = trace.d1[l] * back
     return delta
 
 
 def backprop_deltas(net: Network, trace: ForwardTrace) -> Deltas:
     bt = BatchTrace([z[None, :] for z in trace.z], [h[None, :] for h in trace.h],
-                    np.array([trace.f]))
+                    np.array([trace.f]), [d[None, :] for d in trace.d1])
     return Deltas([d[0] for d in batch_deltas(net, bt)])
 
 
 def loss(net: Network, x, y: float) -> float:
     """Squared loss 0.5 * (f(x) - y)^2 for one sample."""
-    diff = forward(net, x).f - float(y)
+    diff = float(forward_batch(net, _as_row(x)).f[0]) - float(y)
     return 0.5 * diff * diff
 
 
@@ -216,7 +241,7 @@ def grad_params_batch(net: Network, X, y) -> list[tuple[np.ndarray, np.ndarray]]
     """Per-layer (dW, db) gradients of the mean squared loss over the batch."""
     X = _check_batch(net, X)
     y = np.asarray(y, dtype=np.float64)
-    bt = forward_batch(net, X)
+    bt = forward_batch(net, X, with_d1=True)
     delta = batch_deltas(net, bt)
     resid = (bt.f - y)[:, None]
     n = X.shape[0]
@@ -238,7 +263,7 @@ def grad_input_batch(net: Network, X, y) -> np.ndarray:
     """Gradient of each per-sample loss with respect to its input row."""
     X = _check_batch(net, X)
     y = np.asarray(y, dtype=np.float64)
-    bt = forward_batch(net, X)
+    bt = forward_batch(net, X, with_d1=True)
     delta = batch_deltas(net, bt)
     return ((bt.f - y)[:, None] * delta[0]) @ net.weights[0]
 

@@ -114,7 +114,8 @@ class TrainConfig:
 
 @dataclass
 class TrainingHistory:
-    """Per-epoch clean train loss plus clean and robust test accuracy."""
+    """Per-epoch clean train loss and clean test accuracy, plus robust test
+    accuracy when training was given an eval attack (else it stays empty)."""
 
     train_loss: list[float]
     clean_test_acc: list[float]
@@ -128,7 +129,9 @@ _PARAM_CEILING = 1e100
 
 def _params_wild(net: Network) -> bool:
     for arr in (*net.weights, *net.biases):
-        if not np.isfinite(arr).all() or np.abs(arr).max() > _PARAM_CEILING:
+        # False for NaN as well, so one reduction catches NaN, inf and
+        # magnitudes past the ceiling.
+        if not (np.abs(arr).max() <= _PARAM_CEILING):
             return True
     return False
 
@@ -147,12 +150,16 @@ def train_network(
     step, or non-finite epoch loss) and raised as TrainingDivergedError
     carrying the epoch; overflow warnings in the diverging batch itself
     are suppressed so the error is the single signal.
+
+    The history records the clean train loss and clean test accuracy after
+    every epoch; robust test accuracy against eval_attack is recorded only
+    when eval_attack is given.  Evaluation draws no training randomness, so
+    it never changes the trained weights.
     """
     x_tr, y_tr = dataset.x_train, dataset.y_train
     x_te, y_te = dataset.x_test, dataset.y_test
     if net.widths[0] != x_tr.shape[1]:
         raise ValueError("network input width does not match the dataset")
-    eval_cfg = eval_attack if eval_attack is not None else DEFAULT_EVAL_ATTACK
     work = net.copy()
     vel = [(np.zeros_like(W), np.zeros_like(b))
            for W, b in zip(work.weights, work.biases)]
@@ -192,10 +199,11 @@ def train_network(
                 raise TrainingDivergedError(epoch)
             history.train_loss.append(epoch_loss)
             history.clean_test_acc.append(clean_accuracy(work, x_te, y_te))
-            history.robust_test_acc.append(
-                robust_accuracy(work, x_te, y_te, eval_cfg,
-                                rng_seed=_mix(cfg.seed, 0xE7A1, epoch))
-            )
+            if eval_attack is not None:
+                history.robust_test_acc.append(
+                    robust_accuracy(work, x_te, y_te, eval_attack,
+                                    rng_seed=_mix(cfg.seed, 0xE7A1, epoch))
+                )
     return work, history
 
 
@@ -333,12 +341,12 @@ def run_cell(config: SweepConfig, dataset: Dataset, beta: int, curvature: float,
     try:
         adv_cfg = replace(config.train, mode="pgd_adversarial",
                           attack=config.train.attack, seed=seed)
-        net_adv, _ = train_network(base, dataset, adv_cfg, eval_attack=config.eval_attack)
+        net_adv, _ = train_network(base, dataset, adv_cfg)
         clean_acc = clean_accuracy(net_adv, dataset.x_test, dataset.y_test)
         robust_acc = robust_accuracy(net_adv, dataset.x_test, dataset.y_test,
                                      config.eval_attack, rng_seed=seed)
         std_cfg = replace(config.train, mode="standard", attack=None, seed=seed)
-        net_std, _ = train_network(base, dataset, std_cfg, eval_attack=config.eval_attack)
+        net_std, _ = train_network(base, dataset, std_cfg)
         std_clean = clean_accuracy(net_std, dataset.x_test, dataset.y_test)
         diag_norm = dataset_diag_norm(net_std, dataset.x_train, dataset.y_train)
     except TrainingDivergedError:
@@ -365,16 +373,27 @@ def _parse_cell(text: str) -> float:
     return float("nan") if text == "" else float(text)
 
 
-def read_sweep_results(path) -> list[SweepResult]:
-    """Parse a sweep CSV; raises ResultsFormatError on missing columns."""
+def _complete_lines(path) -> str:
+    """The file's text up to its last newline.  A final line without one is
+    a row whose write was interrupted; it counts as not yet written."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in REQUIRED_SWEEP_COLUMNS:
-            if col not in header:
-                raise ResultsFormatError(f"results file is missing column {col!r}")
-        out = []
-        for row in reader:
+        text = fh.read()
+    return text[:text.rfind("\n") + 1]
+
+
+def read_sweep_results(path) -> list[SweepResult]:
+    """Parse a sweep CSV, skipping an incomplete final line; raises
+    ResultsFormatError on missing columns or a malformed row."""
+    reader = csv.DictReader(_complete_lines(path).splitlines(keepends=True))
+    header = reader.fieldnames or []
+    for col in REQUIRED_SWEEP_COLUMNS:
+        if col not in header:
+            raise ResultsFormatError(f"results file is missing column {col!r}")
+    out = []
+    for row in reader:
+        try:
+            if None in row or None in row.values():
+                raise ValueError(f"expected {len(header)} fields")
             out.append(SweepResult(
                 beta=int(row["beta"]),
                 curvature=float(row["curvature"]),
@@ -387,6 +406,9 @@ def read_sweep_results(path) -> list[SweepResult]:
                 status=row["status"],
                 std_clean_acc=_parse_cell(row.get("std_clean_acc", "")),
             ))
+        except ValueError as exc:
+            raise ResultsFormatError(
+                f"results file line {reader.line_num} is malformed: {exc}") from None
     return out
 
 
@@ -418,6 +440,10 @@ def run_sweep(
         if resume and exists:
             for r in read_sweep_results(results_path):
                 done[_cell_key(r.beta, r.curvature, r.seed)] = r
+            size = len(_complete_lines(results_path).encode("utf-8"))
+            if size < os.path.getsize(results_path):
+                # Cut an interrupted final row so new rows start on a line of their own.
+                os.truncate(results_path, size)
             fh = open(results_path, "a", newline="", encoding="utf-8")
         else:
             fh = open(results_path, "w", newline="", encoding="utf-8")

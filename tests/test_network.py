@@ -2,11 +2,15 @@
 parameter and input gradients, serialization and batching."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from curvact.activations import d1, rct_af, value
+from curvact import activations as act
+from curvact.activations import SubgradientWarning, d1, rct_af, value
+from curvact.attacks import AttackConfig, clean_accuracy, pgd_batch
+from curvact.hessian import hessian_diag_exact, hessian_diag_fd
 from curvact.network import (
     Network,
     backprop_deltas,
@@ -14,7 +18,9 @@ from curvact.network import (
     forward,
     forward_batch,
     grad_input,
+    grad_input_batch,
     grad_params,
+    grad_params_batch,
     init_network,
     load_network,
     loss,
@@ -280,3 +286,80 @@ def test_param_layout_counts():
     assert layout[0] == (1, "weight")
     assert layout[6] == (1, "bias")
     assert layout[-1] == (2, "bias")
+
+
+ALL_KIND_SPECS = [rct_af(7.0, 0), rct_af(7.0, 1), rct_af(7.0, 2), act.relu(),
+                  act.leaky_relu(), act.elu(), act.gelu(), act.swish(), act.mish(),
+                  act.softplus()]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("spec", ALL_KIND_SPECS,
+                         ids=lambda s: f"rct_af-beta{s.beta}" if s.kind == "rct_af" else s.kind)
+def test_trace_slopes_equal_d1_bitwise(spec):
+    """sigma' kept by the forward pass is the public d1, bit for bit, on
+    central and saturated pre-activations; sigma is the public value."""
+    net = init_network((2, 6, 5, 1), spec, seed=4)
+    net.weights[0] *= 3.0
+    X = np.array([[0.01, -0.02], [0.3, -0.5], [40.0, -60.0], [-80.0, 25.0]])
+    bt = forward_batch(net, X, with_d1=True)
+    assert forward_batch(net, X).d1 is None
+    for l in range(net.depth - 1):
+        z = bt.z[l]
+        assert np.abs(z).max() > 30.0 and np.abs(z).min() < 1.0
+        np.testing.assert_array_equal(_bits(bt.d1[l]), _bits(d1(spec, z)))
+        np.testing.assert_array_equal(_bits(bt.h[l + 1]), _bits(value(spec, z)))
+    single = forward(net, X[2])
+    for l in range(net.depth - 1):
+        np.testing.assert_array_equal(_bits(single.d1[l]), _bits(d1(spec, single.z[l])))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_raise_value_error(bad):
+    net = init_network((2, 4, 3, 1), rct_af(7.0, 1), seed=1)
+    X = np.array([[0.1, 0.2], [bad, 0.4]])
+    y = np.array([1.0, -1.0])
+    attack = AttackConfig(0.25, 0.0625, 3, True)
+    calls = [
+        lambda: forward(net, X[1]),
+        lambda: forward_batch(net, X),
+        lambda: grad_input_batch(net, X, y),
+        lambda: pgd_batch(net, X, y, attack, rng_seed=0),
+        lambda: hessian_diag_exact(net, X[1], -1.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+            call()
+
+
+def test_overflow_in_a_deeper_hidden_layer_raises():
+    """Finite inputs whose second hidden pre-activation overflows."""
+    net = init_network((2, 4, 3, 1), rct_af(7.0, 1), seed=1)
+    net.weights[0][:] = 1e200
+    net.weights[1][:] = 1e200
+    x = np.array([1.0, 1.0])
+    for call in (lambda: forward(net, x), lambda: grad_params_batch(net, x[None, :], [1.0]),
+                 lambda: hessian_diag_exact(net, x, 1.0)):
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+            call()
+
+
+@pytest.mark.parametrize("spec", [act.relu(), act.leaky_relu()], ids=["relu", "leaky_relu"])
+def test_forward_only_calls_do_not_warn_at_a_kink(spec):
+    """Every hidden pre-activation sits exactly on the kink; only a backward
+    pass evaluates sigma' there."""
+    net = init_network((2, 4, 1), spec, seed=0)
+    X = np.zeros((3, 2))
+    y = np.array([1.0, -1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SubgradientWarning)
+        assert np.all(forward_batch(net, X).z[0] == 0.0)
+        loss(net, X[0], 1.0)
+        mean_loss(net, X, y)
+        clean_accuracy(net, X, y)
+        hessian_diag_fd(net, X[0], 1.0)
+    with pytest.warns(SubgradientWarning):
+        grad_input_batch(net, X, y)

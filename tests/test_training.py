@@ -17,7 +17,9 @@ from curvact.attacks import AttackConfig
 from curvact.data import gaussian_blobs, make_dataset, two_moons
 from curvact.errors import ResultsFormatError, TrainingDivergedError
 from curvact.network import flat_params, init_network
+import curvact.training
 from curvact.training import (
+    DEFAULT_EVAL_ATTACK,
     SweepConfig,
     SweepResult,
     TrainConfig,
@@ -108,7 +110,8 @@ class TestTrainNetwork:
     def test_history_has_one_entry_per_epoch(self):
         ds = _moons()
         net = init_network((2, 5, 1), rct_af(7.0, 1), seed=2)
-        _, history = train_network(net, ds, _quick_cfg(epochs=4))
+        _, history = train_network(net, ds, _quick_cfg(epochs=4),
+                                   eval_attack=DEFAULT_EVAL_ATTACK)
         assert len(history.train_loss) == 4
         assert len(history.clean_test_acc) == 4
         assert len(history.robust_test_acc) == 4
@@ -133,11 +136,33 @@ class TestTrainNetwork:
         zero = AttackConfig(epsilon=0.0, step_size=0.1, steps=3, random_start=True)
         adv_cfg = _quick_cfg(mode="pgd_adversarial", attack=zero, epochs=4)
         std_cfg = _quick_cfg(mode="standard", epochs=4)
-        net_adv, hist_adv = train_network(net, ds, adv_cfg)
-        net_std, hist_std = train_network(net, ds, std_cfg)
+        net_adv, hist_adv = train_network(net, ds, adv_cfg, eval_attack=DEFAULT_EVAL_ATTACK)
+        net_std, hist_std = train_network(net, ds, std_cfg, eval_attack=DEFAULT_EVAL_ATTACK)
         np.testing.assert_array_equal(flat_params(net_adv), flat_params(net_std))
         assert hist_adv.train_loss == hist_std.train_loss
         assert hist_adv.robust_test_acc == hist_std.robust_test_acc
+
+    def test_robust_eval_is_opt_in_and_leaves_training_unchanged(self, monkeypatch):
+        calls = []
+        counted = curvact.training.robust_accuracy
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(curvact.training, "robust_accuracy", counting)
+        ds = _moons()
+        net = init_network((2, 6, 1), rct_af(10.0, 1), seed=5)
+        cfg = _quick_cfg(mode="pgd_adversarial",
+                         attack=AttackConfig(0.25, 0.0625, 5, True), epochs=3)
+        with_eval, hist_with = train_network(net, ds, cfg, eval_attack=DEFAULT_EVAL_ATTACK)
+        assert len(calls) == 3
+        without, hist_without = train_network(net, ds, cfg)
+        assert len(calls) == 3
+        np.testing.assert_array_equal(flat_params(without), flat_params(with_eval))
+        assert hist_without.train_loss == hist_with.train_loss
+        assert hist_without.clean_test_acc == hist_with.clean_test_acc
+        assert hist_without.robust_test_acc == []
 
     def test_deterministic_given_seeds(self):
         ds = _moons()
@@ -257,6 +282,40 @@ class TestRunSweep:
         resumed = run_sweep(cfg, results_path=path, resume=True)
         assert [dataclasses.replace(r, wall_time_s=0.0) for r in resumed] == \
             [dataclasses.replace(r, wall_time_s=0.0) for r in full]
+
+    def test_resume_recomputes_an_interrupted_final_row(self, tmp_path):
+        path = tmp_path / "results.csv"
+        cfg = _tiny_sweep(seeds=(0, 1), train=dataclasses.replace(
+            default_sweep_config().train, epochs=1))
+        full = run_sweep(cfg, results_path=path)
+        path.write_bytes(path.read_bytes()[:-40])
+        assert len(read_sweep_results(path)) == 1
+        events = []
+        resumed = run_sweep(cfg, results_path=path, resume=True,
+                            progress=lambda kind, _: events.append(kind))
+        assert events.count("done") == 1 and events.count("skipped") == 1
+        strip = lambda rows: [dataclasses.replace(r, wall_time_s=0.0) for r in rows]
+        assert strip(resumed) == strip(full)
+        assert strip(read_sweep_results(path)) == strip(full)
+
+    def test_malformed_row_is_named_by_line(self, tmp_path):
+        path = tmp_path / "results.csv"
+        good = ["1", "7.0", "14.0", "0", "0.9", "0.8", "0.1", "1.5", "ok", "0.9"]
+        for bad, line in ((good[:4], 3), (good[:4] + ["x"] + good[5:], 3),
+                          (good + ["extra"], 3), (good[:4], 4)):
+            rows = [good, bad, good] if line == 3 else [good, good, bad]
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(",".join(curvact.training.SWEEP_COLUMNS) + "\n")
+                fh.writelines(",".join(row) + "\n" for row in rows)
+            with pytest.raises(ResultsFormatError, match=f"line {line}"):
+                read_sweep_results(path)
+            with pytest.raises(ResultsFormatError, match=f"line {line}"):
+                run_sweep(_tiny_sweep(), results_path=path, resume=True)
+
+    def test_independent_of_worker_count(self):
+        cfg = _tiny_sweep(seeds=(0, 1))
+        strip = lambda rows: [dataclasses.replace(r, wall_time_s=0.0) for r in rows]
+        assert strip(run_sweep(cfg, jobs=2)) == strip(run_sweep(cfg, jobs=1))
 
     def test_divergent_cell_is_recorded_not_raised(self):
         cfg = _tiny_sweep(
