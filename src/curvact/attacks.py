@@ -103,6 +103,12 @@ def _ball_bounds(X: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]
     return lo, hi
 
 
+def _check_finite(X: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(X)):
+        raise ValueError("attack inputs must be finite")
+    return X
+
+
 def _check_labels(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if not np.all(np.abs(y) == 1.0):
@@ -122,6 +128,7 @@ def fgsm(net: Network, x, y, epsilon: float, input_bounds=None) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         return fgsm(net, x[None, :], np.array([float(y)]), epsilon, input_bounds)[0]
+    x = _check_finite(x)
     y = np.asarray(y, dtype=np.float64)
     g = grad_input_batch(net, x, y)
     lo, hi = _ball_bounds(x, epsilon)
@@ -133,7 +140,7 @@ def pgd_batch(
     net: Network, X, y, cfg: AttackConfig, rng_seed: int, on_step=None
 ) -> np.ndarray:
     """PGD over a batch of rows; row i uses seed rng_seed XOR i for its start."""
-    X = np.asarray(X, dtype=np.float64)
+    X = _check_finite(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     lo, hi = _ball_bounds(X, cfg.epsilon)
     cur = X.copy()

@@ -9,14 +9,6 @@ class UnsupportedActivationError(CurvactError):
     """Raised when an operation needs a derivative the activation lacks."""
 
 
-class CapacityError(CurvactError):
-    """Raised when a network is too large for an enumeration-based routine."""
-
-
-class SingularityError(CurvactError):
-    """Raised when a division-form recurrence hits a vanishing first derivative."""
-
-
 class TrainingDivergedError(CurvactError):
     """Raised when a training run produces non-finite loss or parameters."""
 

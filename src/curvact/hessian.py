@@ -16,11 +16,7 @@ and obeys a backward recursion seeded with D^(L) = 0:
     S_i^(l) = sum_t delta_t^(l+1) * W_ti^(l+1)
 
 S is always accumulated as the direct weighted sum above, never as
-delta/sigma', so saturated units cannot produce 0/0.  An equivalent
-path-expansion form (used as a cross-check on small networks) sums one
-term per site above the start neuron, and there the division form
-delta/sigma' is intentional; it raises SingularityError when sigma'
-underflows.
+delta/sigma', so saturated units cannot produce 0/0.
 
 Exactness range: D^(l) is the diagonal of the full matrix of second
 derivatives of f with respect to z^(l), and Off^(l) is that matrix's
@@ -35,8 +31,14 @@ Swersky, ICML 2012, split into its diagonal and the rest).  Off is
 structurally zero at the top hidden layer, because the output is linear,
 and nothing consumes it at the first hidden layer, so it is formed only
 in between: nets with at most two hidden layers run the per-neuron
-recursion alone, and deeper nets add the coupling term.  Both closed
-forms are exact at any depth.
+recursion alone, and deeper nets add the coupling term.  The recursion is
+exact at any depth; the tests cross-check it against the dense
+full-matrix propagation and against finite differences.
+
+The recursion and the assembly of the diagonal run over a batch of input
+rows at once (Off is then an (N, n, n) array).  hessian_diag_exact is the
+batch-of-one view, and dataset_diag_norm walks a dataset in fixed blocks
+of rows.
 """
 
 from __future__ import annotations
@@ -47,30 +49,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import activations as act
-from .errors import CapacityError, SingularityError, UnsupportedActivationError
-from .network import (
-    Deltas,
-    ForwardTrace,
+from .errors import UnsupportedActivationError
+# forward and backprop_deltas are not used here; they stay importable from
+# this module because the benchmark's span tracer wraps them at this name.
+from .network import (  # noqa: F401
+    BatchTrace,
     Network,
+    _as_row,
     backprop_deltas,
+    batch_deltas,
     flat_params,
     forward,
+    forward_batch,
     grad_params,
     loss,
     param_layout,
     replace_params,
 )
 
-MAX_PATH_NEURONS = 12
-MAX_PATH_DEPTH = 4
-_SIGMA_PRIME_FLOOR = 1e-300
-
-
-@dataclass
-class DTable:
-    """Second-derivative accumulators D^(l) per layer; d[L-1] is all zeros."""
-
-    d: list[np.ndarray]
+# Rows per block in dataset_diag_norm: enough to amortize the per-call
+# overhead while the (rows, parameters) working arrays stay small.
+_BLOCK_ROWS = 32
 
 
 def _require_twice_differentiable(net: Network) -> None:
@@ -80,95 +79,52 @@ def _require_twice_differentiable(net: Network) -> None:
         )
 
 
-def d_table(net: Network, trace: ForwardTrace, deltas: Deltas) -> DTable:
-    """Backward D-recursion over all layers, exact at any depth."""
-    _require_twice_differentiable(net)
+def _curvature_rows(net: Network, trace: BatchTrace,
+                    delta: list[np.ndarray]) -> list[np.ndarray]:
+    """D^(l) per layer over the rows of trace; D^(L) is all zeros."""
     L = net.depth
     d = [None] * L
-    d[L - 1] = np.zeros(1)
-    off = None  # Off^(l+1); None where it is zero or unused
+    d[L - 1] = np.zeros((trace.f.shape[0], 1))
+    off = None  # Off^(l+1), (rows, n, n); None where it is zero or unused
     for l in range(L - 2, -1, -1):
         W_next = net.weights[l + 1]
-        s = W_next.T @ deltas.delta[l + 1]
+        s = delta[l + 1] @ W_next
         sig1 = trace.d1[l]
         sig2 = act.d2(net.activation, trace.z[l])
-        back = (W_next * W_next).T @ d[l + 1]
+        back = d[l + 1] @ (W_next * W_next)
         if off is not None:
             off_w = off @ W_next
-            back = back + (W_next * off_w).sum(axis=0)
+            back = back + (W_next * off_w).sum(axis=1)
         d[l] = sig2 * s + sig1 * sig1 * back
         if 0 < l < L - 2:
-            h_w = d[l + 1][:, None] * W_next  # (diag(D) + Off) @ W
+            h_w = d[l + 1][:, :, None] * W_next  # (diag(D) + Off) @ W
             if off is not None:
                 h_w += off_w
-            off = (W_next.T @ h_w) * np.outer(sig1, sig1)
-            np.fill_diagonal(off, 0.0)
-    return DTable(d)
+            off = (W_next.T @ h_w) * (sig1[:, :, None] * sig1[:, None, :])
+            idx = np.arange(sig1.shape[1])
+            off[:, idx, idx] = 0.0
+    return d
 
 
-def d_table_paths(
-    net: Network,
-    trace: ForwardTrace,
-    deltas: Deltas,
-    d2_scale: dict[tuple[int, int], float] | None = None,
-) -> DTable:
-    """Path-expansion form of the D table.
-
-    For each start neuron (l, i), enumerates every neuron path forward and
-    sums the signed products of sigma' * W along the paths that end at a
-    site (r, j) into the Jacobian entry dz_j^(r)/dz_i^(l); the r = l site
-    is the start neuron itself with an empty product.  Then
-
-        D_i^(l) = sum_(r,j) sigma''(z_j^(r)) * (delta_j^(r) / sigma'(z_j^(r)))
-                            * (dz_j^(r)/dz_i^(l))^2
-
-    Squaring the summed entry, not each path product, keeps the couplings
-    between sibling paths, so the form is exact at any depth.
-    Restricted to at most MAX_PATH_NEURONS hidden neurons and depth
-    MAX_PATH_DEPTH.  d2_scale optionally multiplies sigma'' at single
-    (layer, neuron) sites, which is how the linear appearance of sigma''
-    is exercised in tests.
-    """
+def _diag_rows(net: Network, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Hessian diagonal of every row's loss: (diag, gauss-newton part,
+    residual part), each (rows, p), and the residuals f - y."""
     _require_twice_differentiable(net)
-    L = net.depth
-    hidden = sum(net.widths[1:-1])
-    if hidden > MAX_PATH_NEURONS:
-        raise CapacityError(
-            f"path expansion supports at most {MAX_PATH_NEURONS} hidden neurons, got {hidden}"
-        )
-    if L > MAX_PATH_DEPTH:
-        raise CapacityError(f"path expansion supports depth <= {MAX_PATH_DEPTH}, got {L}")
-    scale = d2_scale or {}
-    sig1 = [act.d1(net.activation, z) for z in trace.z]
-    sig2 = [act.d2(net.activation, z) for z in trace.z]
-
-    def site_term(r: int, j: int) -> float:
-        sp = sig1[r][j]
-        if abs(sp) < _SIGMA_PRIME_FLOOR:
-            raise SingularityError(
-                f"sigma' vanished at layer {r + 1}, neuron {j}; division form unusable"
-            )
-        factor = scale.get((r + 1, j), 1.0)
-        return factor * sig2[r][j] * deltas.delta[r][j] / sp
-
-    def walk(r: int, j: int, prod: float, jac: dict) -> None:
-        jac[(r, j)] = jac.get((r, j), 0.0) + prod
-        if r + 1 <= L - 2:
-            w_next = net.weights[r + 1]
-            hop = prod * sig1[r][j]
-            for t in range(net.widths[r + 2]):
-                walk(r + 1, t, hop * w_next[t, j], jac)
-
-    def curvature(l: int, i: int) -> float:
-        jac: dict[tuple[int, int], float] = {}
-        walk(l, i, 1.0, jac)
-        return sum(site_term(r, j) * g * g for (r, j), g in jac.items())
-
-    d = [None] * L
-    d[L - 1] = np.zeros(1)
-    for l in range(L - 1):
-        d[l] = np.array([curvature(l, i) for i in range(net.widths[l + 1])])
-    return DTable(d)
+    trace = forward_batch(net, X, with_d1=True)
+    delta = batch_deltas(net, trace)
+    D = _curvature_rows(net, trace, delta)
+    residual = trace.f - y
+    n = residual.shape[0]
+    gn_parts, res_parts = [], []
+    for l in range(net.depth):
+        dl_sq = delta[l] * delta[l]
+        h_prev_sq = trace.h[l] * trace.h[l]
+        gn_parts += [(dl_sq[:, :, None] * h_prev_sq[:, None, :]).reshape(n, -1), dl_sq]
+        D_h = (D[l][:, :, None] * h_prev_sq[:, None, :]).reshape(n, -1)
+        res_parts += [residual[:, None] * D_h, residual[:, None] * D[l]]
+    gn = np.concatenate(gn_parts, axis=1)
+    res = np.concatenate(res_parts, axis=1)
+    return gn + res, gn, res, residual
 
 
 @dataclass
@@ -209,41 +165,12 @@ def write_report_csv(report: HessianDiagReport, net: Network, path) -> None:
             )
 
 
-def _assemble(net: Network, trace: ForwardTrace, deltas: Deltas, table: DTable,
-              y: float) -> HessianDiagReport:
-    residual = trace.f - float(y)
-    gn_parts, res_parts = [], []
-    for l in range(net.depth):
-        dl = deltas.delta[l]
-        Dl = table.d[l]
-        h_prev_sq = trace.h[l] * trace.h[l]
-        gn_parts.append(np.outer(dl * dl, h_prev_sq).ravel())
-        gn_parts.append(dl * dl)
-        res_parts.append(residual * np.outer(Dl, h_prev_sq).ravel())
-        res_parts.append(residual * Dl)
-    gn = np.concatenate(gn_parts)
-    res = np.concatenate(res_parts)
-    diag = gn + res
-    return HessianDiagReport(
-        diag, gn, res, residual, normalized_diag_norm(diag, net.param_count)
-    )
-
-
 def hessian_diag_exact(net: Network, x, y: float) -> HessianDiagReport:
-    """Loss-Hessian diagonal via the backward D-recursion, exact at any
-    depth; see the module notes for the sibling-coupling term."""
-    trace = forward(net, x)
-    deltas = backprop_deltas(net, trace)
-    return _assemble(net, trace, deltas, d_table(net, trace, deltas), y)
-
-
-def hessian_diag_paths(
-    net: Network, x, y: float, d2_scale: dict[tuple[int, int], float] | None = None
-) -> HessianDiagReport:
-    """Same diagonal through the path-expansion D table (small nets only)."""
-    trace = forward(net, x)
-    deltas = backprop_deltas(net, trace)
-    return _assemble(net, trace, deltas, d_table_paths(net, trace, deltas, d2_scale), y)
+    """Loss-Hessian diagonal for one sample via the backward D-recursion,
+    exact at any depth; see the module notes for the sibling-coupling term."""
+    diag, gn, res, residual = _diag_rows(net, _as_row(x), np.array([float(y)]))
+    return HessianDiagReport(diag[0], gn[0], res[0], float(residual[0]),
+                             normalized_diag_norm(diag[0], net.param_count))
 
 
 def hessian_diag_fd(net: Network, x, y: float, h: float = 1e-4) -> np.ndarray:
@@ -295,7 +222,8 @@ def dataset_diag_norm(
     """Aggregate diagonal norm over a dataset.
 
     mean_diag_then_norm averages the per-sample diagonal vectors and takes
-    the norm of the mean; mean_of_norms averages per-sample norms.
+    the norm of the mean; mean_of_norms averages per-sample norms.  Samples
+    are evaluated in blocks of rows and summed in sample order.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -304,12 +232,17 @@ def dataset_diag_norm(
     if reduction not in ("mean_diag_then_norm", "mean_of_norms"):
         raise ValueError(f"unknown reduction {reduction!r}")
     p = net.param_count
-    if reduction == "mean_diag_then_norm":
-        acc = np.zeros(p)
-        for i in range(X.shape[0]):
-            acc += hessian_diag_exact(net, X[i], float(y[i])).diag
-        return normalized_diag_norm(acc / X.shape[0], p)
+    acc = np.zeros(p)
     total = 0.0
-    for i in range(X.shape[0]):
-        total += hessian_diag_exact(net, X[i], float(y[i])).normalized_norm
+    for start in range(0, X.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        diag = _diag_rows(net, X[rows], y[rows])[0]
+        if reduction == "mean_diag_then_norm":
+            for row in diag:
+                acc += row
+        else:
+            for norm in np.sqrt(np.mean(diag * diag, axis=1)):
+                total += float(norm)
+    if reduction == "mean_diag_then_norm":
+        return normalized_diag_norm(acc / X.shape[0], p)
     return total / X.shape[0]

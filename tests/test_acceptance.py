@@ -48,7 +48,7 @@ from curvact.attacks import (
     robust_accuracy,
 )
 from curvact.data import make_dataset, two_moons
-from curvact.hessian import hessian_diag_exact, hessian_diag_paths
+from curvact.hessian import hessian_diag_exact
 from curvact.network import forward, init_network
 from curvact.training import (
     DEFAULT_EVAL_ATTACK,
@@ -60,7 +60,7 @@ from curvact.training import (
     train_network,
 )
 
-from helpers import fd_first, fd_loss_diag
+from helpers import fd_first, fd_loss_diag, hessian_diag_full
 
 _CACHE_DIR = Path(__file__).resolve().parent / "_sweep_cache"
 
@@ -145,11 +145,8 @@ def _hessian_trials():
             y = float(rng.choice((-1.0, 1.0)))
             exact = hessian_diag_exact(net, x, y).diag
             ref = fd_loss_diag(net, x, y)
-            paths = None
-            if sum(widths[1:-1]) <= 12:
-                paths = hessian_diag_paths(net, x, y).diag
             trials.append({"depth": depth, "exact": exact, "fd": ref,
-                           "paths": paths})
+                           "full": hessian_diag_full(net, x, y)})
             i += 1
     return trials
 
@@ -205,8 +202,7 @@ def _digest_items_one_to_six() -> str:
     for trial in _hessian_trials():
         blob.update(trial["exact"].tobytes())
         blob.update(trial["fd"].tobytes())
-        if trial["paths"] is not None:
-            blob.update(trial["paths"].tobytes())
+        blob.update(trial["full"].tobytes())
     for n0, n1, report, w_block, b_block, h1 in _closed_form_pairs():
         for arr in (report.diag, w_block, b_block, h1):
             blob.update(np.asarray(arr).tobytes())
@@ -316,9 +312,8 @@ def test_04_hessian_diagonal_vs_oracles():
     trials = _hessian_trials()
     fd_excess = {2: 0.0, 3: 0.0, 4: 0.0}
     fd_bad_depths = set()
-    paths_worst = 0.0
-    paths_checked = 0
-    paths_ok = True
+    full_worst = 0.0
+    full_ok = True
     for trial in trials:
         exact, ref = trial["exact"], trial["fd"]
         err = np.abs(exact - ref)
@@ -327,30 +322,27 @@ def test_04_hessian_diagonal_vs_oracles():
             fd_excess[trial["depth"]], float(np.max(err / allowed)))
         if np.any(err > allowed):
             fd_bad_depths.add(trial["depth"])
-        if trial["paths"] is not None:
-            paths_checked += 1
-            perr = np.abs(exact - trial["paths"])
-            pallow = 1e-10 * np.abs(exact)
-            paths_worst = max(paths_worst, float(np.max(
-                perr / np.maximum(np.abs(exact), 1e-300))))
-            if np.any(perr > pallow):
-                paths_ok = False
+        ferr = np.abs(exact - trial["full"])
+        full_worst = max(full_worst, float(np.max(
+            ferr / np.maximum(np.abs(exact), 1e-300))))
+        if np.any(ferr > 1e-10 * np.abs(exact)):
+            full_ok = False
     elapsed = time.perf_counter() - start
-    ok = not fd_bad_depths and paths_ok and elapsed < 60.0
+    ok = not fd_bad_depths and full_ok and elapsed < 60.0
     msg = _verdict(4, "hessian diagonal vs oracles", ok,
                    f"{len(trials)} nets; worst error vs finite differences as "
                    f"a multiple of max(1e-4 rel, 1e-6 abs): depth 2 -> "
                    f"{fd_excess[2]:.1e}, depth 3 -> {fd_excess[3]:.1e}, "
-                   f"depth 4 -> {fd_excess[4]:.1e}; recursion vs path "
-                   f"expansion {paths_worst:.1e} rel over {paths_checked} "
+                   f"depth 4 -> {fd_excess[4]:.1e}; recursion vs full-matrix "
+                   f"propagation {full_worst:.1e} rel over {len(trials)} "
                    f"nets, {elapsed:.1f} s")
     assert ok, msg + (
         ". The finite-difference oracle agrees with an independent "
         "full-matrix curvature propagation at every depth (see the deep "
-        "cross-term tests).  A failure confined to depth 4 points at the "
+        "sibling-coupling tests).  A failure confined to depth 4 points at the "
         "sibling-coupling term of the recursion, which only nets with three "
-        "or more hidden layers exercise; a recursion-vs-paths gap points at "
-        "one of the two closed forms." if fd_bad_depths or not paths_ok
+        "or more hidden layers exercise; a recursion-vs-full-matrix gap points "
+        "at one of the two closed forms." if fd_bad_depths or not full_ok
         else "")
 
 

@@ -9,8 +9,8 @@ import pytest
 
 from curvact import activations as act
 from curvact.activations import SubgradientWarning, d1, rct_af, value
-from curvact.attacks import AttackConfig, clean_accuracy, pgd_batch
-from curvact.hessian import hessian_diag_exact, hessian_diag_fd
+from curvact.attacks import AttackConfig, clean_accuracy, fgsm, pgd_batch
+from curvact.hessian import dataset_diag_norm, hessian_diag_exact, hessian_diag_fd
 from curvact.network import (
     Network,
     backprop_deltas,
@@ -327,11 +327,17 @@ def test_non_finite_inputs_raise_value_error(bad):
         lambda: forward(net, X[1]),
         lambda: forward_batch(net, X),
         lambda: grad_input_batch(net, X, y),
-        lambda: pgd_batch(net, X, y, attack, rng_seed=0),
         lambda: hessian_diag_exact(net, X[1], -1.0),
+        lambda: dataset_diag_norm(net, X, y),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+            call()
+    # The attacks reject the rows before any arithmetic on them can warn.
+    for call in (lambda: pgd_batch(net, X, y, attack, rng_seed=0),
+                 lambda: fgsm(net, X, y, 0.25)):
+        with pytest.raises(ValueError, match="finite"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             call()
 
 
