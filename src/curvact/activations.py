@@ -28,7 +28,6 @@ nothing overflows for alpha = 50, |x| <= 100.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,6 +36,7 @@ import numpy as np
 from scipy.special import erf, expit
 
 from .errors import UnsupportedActivationError
+from .record import Record
 
 KINDS = ("rct_af", "relu", "leaky_relu", "elu", "gelu", "swish", "mish", "softplus")
 
@@ -54,7 +54,7 @@ class SubgradientWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class ActivationSpec:
+class ActivationSpec(Record):
     """Tagged description of one activation function.
 
     kind "rct_af" requires alpha > 0 and beta in {0, 1, 2}; "leaky_relu"
@@ -89,38 +89,6 @@ class ActivationSpec:
     @property
     def twice_differentiable(self) -> bool:
         return self.kind not in ("relu", "leaky_relu")
-
-    def to_dict(self) -> dict:
-        if self.kind == "rct_af":
-            return {"kind": "rct_af", "alpha": float(self.alpha), "beta": int(self.beta)}
-        if self.kind == "leaky_relu":
-            return {"kind": "leaky_relu", "slope": float(self.slope)}
-        return {"kind": self.kind}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ActivationSpec":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise ValueError("activation JSON must be an object with a 'kind' field")
-        kind = data["kind"]
-        allowed = {"kind"}
-        kwargs = {}
-        if kind == "rct_af":
-            allowed |= {"alpha", "beta"}
-            if "alpha" not in data or "beta" not in data:
-                raise ValueError("rct_af JSON requires 'alpha' and 'beta'")
-            kwargs = {"alpha": float(data["alpha"]), "beta": int(data["beta"])}
-        elif kind == "leaky_relu":
-            allowed |= {"slope"}
-            if "slope" in data:
-                kwargs = {"slope": float(data["slope"])}
-        extra = set(data) - allowed
-        if extra:
-            raise ValueError(f"unexpected activation fields: {sorted(extra)}")
-        return cls(kind=kind, **kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ActivationSpec":
-        return cls.from_dict(json.loads(text))
 
 
 def rct_af(alpha: float, beta: int) -> ActivationSpec:

@@ -23,10 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import Network, forward_batch, grad_input_batch
+from .record import Record
 
 
 @dataclass(frozen=True)
-class AttackConfig:
+class AttackConfig(Record):
     """PGD budget: ball radius, step size, step count, random start."""
 
     epsilon: float
@@ -49,31 +50,6 @@ class AttackConfig:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError("input_bounds must be a finite (low, high) pair")
             object.__setattr__(self, "input_bounds", (float(lo), float(hi)))
-
-    def to_dict(self) -> dict:
-        out = {
-            "epsilon": float(self.epsilon),
-            "step_size": float(self.step_size),
-            "steps": int(self.steps),
-            "random_start": bool(self.random_start),
-        }
-        if self.input_bounds is not None:
-            out["input_bounds"] = list(self.input_bounds)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AttackConfig":
-        missing = {"epsilon", "step_size", "steps", "random_start"} - set(data)
-        if missing:
-            raise ValueError(f"attack JSON missing fields: {sorted(missing)}")
-        bounds = data.get("input_bounds")
-        return cls(
-            epsilon=float(data["epsilon"]),
-            step_size=float(data["step_size"]),
-            steps=int(data["steps"]),
-            random_start=bool(data["random_start"]),
-            input_bounds=tuple(bounds) if bounds is not None else None,
-        )
 
 
 def _clamp_bounds(X: np.ndarray, bounds: tuple[float, float] | None) -> np.ndarray:
@@ -192,13 +168,3 @@ def robust_accuracy(net: Network, X, y, cfg: AttackConfig, rng_seed: int,
     f_worst = np.where((f_adv - y) ** 2 >= (f_clean - y) ** 2, f_adv, f_clean)
     ok = (np.sign(f_clean) == y) & (np.sign(f_worst) == y)
     return float(np.mean(ok))
-
-
-def adversarial_loss(net: Network, x, y: float, cfg: AttackConfig, rng_seed: int) -> float:
-    """Worst of the clean and attacked per-sample losses (never below clean)."""
-    x = np.asarray(x, dtype=np.float64)
-    adv = pgd(net, x, y, cfg, rng_seed)
-    f_clean = forward_batch(net, x[None, :]).f[0]
-    f_adv = forward_batch(net, adv[None, :]).f[0]
-    y = float(y)
-    return max(0.5 * (f_clean - y) ** 2, 0.5 * (f_adv - y) ** 2)

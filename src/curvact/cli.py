@@ -71,19 +71,7 @@ def _parse_spec_string(text: str) -> ActivationSpec:
                 params[key.strip()] = float(raw)
             except ValueError:
                 raise ValueError(f"non-numeric activation parameter {part!r}") from None
-    unknown = set(params) - {"alpha", "beta", "slope"}
-    if unknown:
-        raise ValueError(f"unknown activation parameters: {sorted(unknown)}")
-    kwargs: dict = {}
-    if "alpha" in params:
-        kwargs["alpha"] = params["alpha"]
-    if "beta" in params:
-        if params["beta"] != int(params["beta"]):
-            raise ValueError("beta must be an integer")
-        kwargs["beta"] = int(params["beta"])
-    if "slope" in params:
-        kwargs["slope"] = params["slope"]
-    return ActivationSpec(kind=kind, **kwargs)
+    return ActivationSpec.from_dict({"kind": kind, **params})
 
 
 def _describe_spec(spec: ActivationSpec) -> str:
@@ -180,10 +168,10 @@ def _random_check_net(rng: np.random.Generator, trial: int) -> Network:
 def _single_layer_closed_form(net: Network, x: np.ndarray, y: float) -> np.ndarray:
     """Directly coded diagonal for a one-hidden-layer scalar-output net."""
     trace = forward(net, x)
-    z_hidden = trace.z[0]
-    h_hidden = trace.h[1]
+    z_hidden = trace.z[0][0]
+    h_hidden = trace.h[1][0]
     w_out = net.weights[1][0]
-    resid = trace.f - y
+    resid = trace.f[0] - y
     s1 = d1(net.activation, z_hidden)
     s2 = d2(net.activation, z_hidden)
     gw = np.outer(w_out * s1, x) ** 2 + resid * np.outer(w_out * s2, x**2)

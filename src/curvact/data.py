@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .record import Record
+
 GENERATOR_KINDS = ("two_moons", "circles", "gaussian_blobs")
 
 
 @dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Record):
     """Tagged dataset generator: kind plus its shape parameters."""
 
     kind: str
@@ -50,27 +52,6 @@ class GeneratorSpec:
                 raise ValueError("separation must be finite and positive")
             if self.noise is not None:
                 raise ValueError("gaussian_blobs takes no noise parameter")
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "two_moons":
-            out["noise"] = float(self.noise)
-        elif self.kind == "circles":
-            out["noise"] = float(self.noise)
-            out["ratio"] = float(self.ratio)
-        else:
-            out["separation"] = float(self.separation)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GeneratorSpec":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise ValueError("generator JSON must be an object with a 'kind' field")
-        fields = {k: data[k] for k in ("noise", "ratio", "separation") if k in data}
-        extra = set(data) - {"kind", *fields}
-        if extra:
-            raise ValueError(f"unexpected generator fields: {sorted(extra)}")
-        return cls(kind=data["kind"], **fields)
 
 
 def two_moons(noise: float = 0.1) -> GeneratorSpec:

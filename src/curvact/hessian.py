@@ -43,7 +43,6 @@ of rows.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,14 +55,13 @@ from .network import (  # noqa: F401
     BatchTrace,
     Network,
     _as_row,
-    backprop_deltas,
     batch_deltas,
+    batch_deltas as backprop_deltas,
     flat_params,
     forward,
     forward_batch,
     grad_params,
     loss,
-    param_layout,
     replace_params,
 )
 
@@ -140,29 +138,6 @@ class HessianDiagReport:
     residual_part: np.ndarray
     residual: float
     normalized_norm: float
-
-    def to_dict(self) -> dict:
-        return {
-            "diag": self.diag.tolist(),
-            "gauss_newton_part": self.gauss_newton_part.tolist(),
-            "residual_part": self.residual_part.tolist(),
-            "residual": self.residual,
-            "normalized_norm": self.normalized_norm,
-        }
-
-
-def write_report_csv(report: HessianDiagReport, net: Network, path) -> None:
-    """One row per parameter: index, layer, kind and the diagonal split."""
-    layout = param_layout(net)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter_index", "layer", "kind", "diag", "gn", "residual_part"])
-        for k, (layer, kind) in enumerate(layout):
-            writer.writerow(
-                [k, layer, kind, repr(float(report.diag[k])),
-                 repr(float(report.gauss_newton_part[k])),
-                 repr(float(report.residual_part[k]))]
-            )
 
 
 def hessian_diag_exact(net: Network, x, y: float) -> HessianDiagReport:

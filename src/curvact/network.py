@@ -8,27 +8,30 @@ Flat parameter vectors (gradients, Hessian diagonals) are ordered layer by
 layer, each layer's weight matrix in row-major order followed by its bias
 vector, giving p = sum_l n_l * (n_{l-1} + 1) entries.
 
-Everything runs in float64.  The per-sample API wraps a batched
-implementation (inputs stacked as rows), so single-sample and batch-of-one
-calls produce identical bits.  Rows of a larger batch may differ from the
-corresponding per-sample results in the last bit, because matrix-product
-accumulation order depends on the batch shape; repeated evaluation of the
-same batch is always bit-identical.
+Everything runs in float64.  The per-sample API is a thin view over the
+batched implementation (inputs stacked as rows), so single-sample and
+batch-of-one calls produce identical bits.  There is one trace type,
+BatchTrace; the per-sample forward returns it with a single row.  Rows
+of a larger batch may differ from the corresponding per-sample results
+in the last bit, because matrix-product accumulation order depends on
+the batch shape; repeated evaluation of the same batch is always
+bit-identical.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import activations as act
 from .activations import ActivationSpec
+from .record import Record
 
 
 @dataclass(eq=False)
-class Network:
+class Network(Record):
     """Weights, biases and the shared hidden activation of one network."""
 
     widths: tuple[int, ...]
@@ -70,26 +73,6 @@ class Network:
             [W.copy() for W in self.weights],
             [b.copy() for b in self.biases],
             self.activation,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "widths": list(self.widths),
-            "activation": self.activation.to_dict(),
-            "weights": [W.tolist() for W in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Network":
-        missing = {"widths", "activation", "weights", "biases"} - set(data)
-        if missing:
-            raise ValueError(f"network JSON missing fields: {sorted(missing)}")
-        return cls(
-            widths=tuple(data["widths"]),
-            weights=[np.asarray(W, dtype=np.float64) for W in data["weights"]],
-            biases=[np.asarray(b, dtype=np.float64) for b in data["biases"]],
-            activation=ActivationSpec.from_dict(data["activation"]),
         )
 
 
@@ -139,24 +122,6 @@ class BatchTrace:
     d1: list[np.ndarray] | None = None
 
 
-@dataclass
-class ForwardTrace:
-    """Per-sample forward pass: z per layer, h per layer with h[0] = x, and
-    sigma'(z) per hidden layer for the backward passes."""
-
-    z: list[np.ndarray]
-    h: list[np.ndarray]
-    f: float
-    d1: list[np.ndarray]
-
-
-@dataclass
-class Deltas:
-    """Backpropagated output sensitivities delta^(l) = df/dz^(l); delta^(L) = 1."""
-
-    delta: list[np.ndarray]
-
-
 def _check_batch(net: Network, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.widths[0]:
@@ -198,12 +163,10 @@ def forward_batch(net: Network, X, *, with_d1: bool = False) -> BatchTrace:
     return BatchTrace(z_list, h_list, z_list[-1][:, 0], d1_list)
 
 
-def forward(net: Network, x) -> ForwardTrace:
-    """Per-sample forward pass, keeping sigma' for backprop_deltas and the
-    Hessian recursion."""
-    bt = forward_batch(net, _as_row(x), with_d1=True)
-    return ForwardTrace([z[0] for z in bt.z], [h[0] for h in bt.h], float(bt.f[0]),
-                        [d[0] for d in bt.d1])
+def forward(net: Network, x) -> BatchTrace:
+    """Per-sample forward pass: the one-row view of forward_batch, keeping
+    sigma' for batch_deltas.  Every array in the trace has one row."""
+    return forward_batch(net, _as_row(x), with_d1=True)
 
 
 def batch_deltas(net: Network, trace: BatchTrace) -> list[np.ndarray]:
@@ -217,12 +180,6 @@ def batch_deltas(net: Network, trace: BatchTrace) -> list[np.ndarray]:
         back = net.weights[l + 1] if l == L - 2 else delta[l + 1] @ net.weights[l + 1]
         delta[l] = trace.d1[l] * back
     return delta
-
-
-def backprop_deltas(net: Network, trace: ForwardTrace) -> Deltas:
-    bt = BatchTrace([z[None, :] for z in trace.z], [h[None, :] for h in trace.h],
-                    np.array([trace.f]), [d[None, :] for d in trace.d1])
-    return Deltas([d[0] for d in batch_deltas(net, bt)])
 
 
 def loss(net: Network, x, y: float) -> float:

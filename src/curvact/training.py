@@ -29,6 +29,7 @@ from .data import Dataset, GeneratorSpec, make_dataset, two_moons
 from .errors import ResultsFormatError, TrainingDivergedError
 from .hessian import dataset_diag_norm
 from .network import Network, grad_params_batch, init_network, mean_loss
+from .record import Record
 
 TRAIN_MODES = ("standard", "pgd_adversarial")
 
@@ -56,7 +57,7 @@ def _mix(*parts: int) -> int:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Record):
     """SGD-with-momentum settings; mode selects clean or PGD batches."""
 
     epochs: int
@@ -64,8 +65,8 @@ class TrainConfig:
     learning_rate: float
     momentum: float = 0.9
     mode: str = "standard"
-    attack: AttackConfig | None = None
     seed: int = 0
+    attack: AttackConfig | None = None
 
     def __post_init__(self):
         if not isinstance(self.epochs, int) or self.epochs < 1:
@@ -83,39 +84,11 @@ class TrainConfig:
         if self.mode == "standard" and self.attack is not None:
             raise ValueError("standard mode takes no attack config")
 
-    def to_dict(self) -> dict:
-        out = {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "momentum": self.momentum,
-            "mode": self.mode,
-            "seed": self.seed,
-        }
-        if self.attack is not None:
-            out["attack"] = self.attack.to_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        missing = {"epochs", "batch_size", "learning_rate", "mode"} - set(data)
-        if missing:
-            raise ValueError(f"train JSON missing fields: {sorted(missing)}")
-        return cls(
-            epochs=int(data["epochs"]),
-            batch_size=int(data["batch_size"]),
-            learning_rate=float(data["learning_rate"]),
-            momentum=float(data.get("momentum", 0.9)),
-            mode=data["mode"],
-            attack=AttackConfig.from_dict(data["attack"]) if "attack" in data else None,
-            seed=int(data.get("seed", 0)),
-        )
-
 
 @dataclass
 class TrainingHistory:
-    """Per-epoch clean train loss and clean test accuracy, plus robust test
-    accuracy when training was given an eval attack (else it stays empty)."""
+    """Per-epoch clean train loss, plus clean and robust test accuracy when
+    training was given an eval attack (else both stay empty)."""
 
     train_loss: list[float]
     clean_test_acc: list[float]
@@ -151,10 +124,10 @@ def train_network(
     carrying the epoch; overflow warnings in the diverging batch itself
     are suppressed so the error is the single signal.
 
-    The history records the clean train loss and clean test accuracy after
-    every epoch; robust test accuracy against eval_attack is recorded only
-    when eval_attack is given.  Evaluation draws no training randomness, so
-    it never changes the trained weights.
+    The history records the clean train loss after every epoch.  The test
+    split is evaluated only when eval_attack is given: clean accuracy and
+    robust accuracy against eval_attack, once per epoch.  Evaluation draws
+    no training randomness, so it never changes the trained weights.
     """
     x_tr, y_tr = dataset.x_train, dataset.y_train
     x_te, y_te = dataset.x_test, dataset.y_test
@@ -198,8 +171,8 @@ def train_network(
             if not math.isfinite(epoch_loss):
                 raise TrainingDivergedError(epoch)
             history.train_loss.append(epoch_loss)
-            history.clean_test_acc.append(clean_accuracy(work, x_te, y_te))
             if eval_attack is not None:
+                history.clean_test_acc.append(clean_accuracy(work, x_te, y_te))
                 history.robust_test_acc.append(
                     robust_accuracy(work, x_te, y_te, eval_attack,
                                     rng_seed=_mix(cfg.seed, 0xE7A1, epoch))
@@ -208,7 +181,7 @@ def train_network(
 
 
 @dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(Record):
     """Grid over curvature targets, family indices beta and seeds.
 
     The train field is the template for the adversarial half of each cell;
@@ -245,39 +218,6 @@ class SweepConfig:
             raise ValueError("seeds must be nonempty")
         if self.train.mode != "pgd_adversarial":
             raise ValueError("sweep train template must use pgd_adversarial mode")
-
-    def to_dict(self) -> dict:
-        return {
-            "curvature_targets": list(self.curvature_targets),
-            "betas": list(self.betas),
-            "seeds": list(self.seeds),
-            "widths": list(self.widths),
-            "dataset": self.dataset.to_dict(),
-            "dataset_n": self.dataset_n,
-            "dataset_seed": self.dataset_seed,
-            "train": self.train.to_dict(),
-            "eval_attack": self.eval_attack.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepConfig":
-        missing = {
-            "curvature_targets", "betas", "seeds", "widths", "dataset",
-            "dataset_n", "dataset_seed", "train", "eval_attack",
-        } - set(data)
-        if missing:
-            raise ValueError(f"sweep JSON missing fields: {sorted(missing)}")
-        return cls(
-            curvature_targets=tuple(data["curvature_targets"]),
-            betas=tuple(data["betas"]),
-            seeds=tuple(data["seeds"]),
-            widths=tuple(data["widths"]),
-            dataset=GeneratorSpec.from_dict(data["dataset"]),
-            dataset_n=int(data["dataset_n"]),
-            dataset_seed=int(data["dataset_seed"]),
-            train=TrainConfig.from_dict(data["train"]),
-            eval_attack=AttackConfig.from_dict(data["eval_attack"]),
-        )
 
 
 def default_sweep_config() -> SweepConfig:

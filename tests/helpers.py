@@ -7,7 +7,7 @@ import numpy as np
 from curvact import activations as act
 from curvact.activations import rct_af
 from curvact.network import (
-    backprop_deltas,
+    batch_deltas,
     flat_params,
     forward,
     init_network,
@@ -56,23 +56,25 @@ def hessian_diag_full(net, x, y):
     layers.
     """
     trace = forward(net, x)
-    deltas = backprop_deltas(net, trace)
+    delta = [d[0] for d in batch_deltas(net, trace)]
+    z = [zl[0] for zl in trace.z]
+    h = [hl[0] for hl in trace.h]
     L = net.depth
     curv = [None] * L
     curv[L - 1] = np.zeros(1)
     H = np.zeros((1, 1))
     for l in range(L - 2, -1, -1):
         W_next = net.weights[l + 1]
-        s = W_next.T @ deltas.delta[l + 1]
-        sig1 = act.d1(net.activation, trace.z[l])
-        sig2 = act.d2(net.activation, trace.z[l])
+        s = W_next.T @ delta[l + 1]
+        sig1 = act.d1(net.activation, z[l])
+        sig2 = act.d2(net.activation, z[l])
         H = np.diag(sig2 * s) + np.outer(sig1, sig1) * (W_next.T @ H @ W_next)
         curv[l] = np.diag(H).copy()
-    residual = trace.f - float(y)
+    residual = trace.f[0] - float(y)
     parts = []
     for l in range(L):
-        dl = deltas.delta[l]
-        h_prev_sq = trace.h[l] * trace.h[l]
+        dl = delta[l]
+        h_prev_sq = h[l] * h[l]
         parts.append(np.outer(dl * dl + residual * curv[l], h_prev_sq).ravel())
         parts.append(dl * dl + residual * curv[l])
     return np.concatenate(parts)

@@ -163,14 +163,14 @@ def _closed_form_pairs():
         y = float(rng.choice((-1.0, 1.0)))
         report = hessian_diag_exact(net, x, y)
         trace = forward(net, x)
-        z = trace.z[0]
+        z = trace.z[0][0]
         w_out = net.weights[1][0]
-        resid = trace.f - y
+        resid = trace.f[0] - y
         s1 = d1(net.activation, z)
         s2 = d2(net.activation, z)
         w_block = np.outer(w_out * s1, x) ** 2 + resid * np.outer(w_out * s2, x**2)
         b_block = (w_out * s1) ** 2 + resid * (w_out * s2)
-        pairs.append((n0, n1, report, w_block, b_block, trace.h[1]))
+        pairs.append((n0, n1, report, w_block, b_block, trace.h[1][0]))
     return pairs
 
 
@@ -182,7 +182,7 @@ def _gauss_newton_cases():
         net = init_network(widths, rct_af(4.0 + trial, trial % 3),
                            seed=int(rng.integers(2**31)))
         x = rng.normal(size=widths[0])
-        y = forward(net, x).f
+        y = forward(net, x).f[0]
         reports.append(hessian_diag_exact(net, x, y))
     return reports
 

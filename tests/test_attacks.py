@@ -12,7 +12,6 @@ import curvact.attacks as atk
 from curvact.activations import rct_af
 from curvact.attacks import (
     AttackConfig,
-    adversarial_loss,
     clean_accuracy,
     fgsm,
     pgd,
@@ -273,20 +272,3 @@ class TestRobustAccuracy:
         a = robust_accuracy(net, X, y, TestPgd.CFG, rng_seed=5)
         b = robust_accuracy(net, X, y, TestPgd.CFG, rng_seed=5)
         assert a == b
-
-
-class TestAdversarialLoss:
-    def test_never_below_clean_loss(self):
-        rng = np.random.default_rng(31)
-        net = init_network((2, 6, 1), rct_af(10.0, 1), seed=14)
-        for _ in range(10):
-            x = rng.normal(size=2)
-            y = float(rng.choice((-1.0, 1.0)))
-            adv = adversarial_loss(net, x, y, TestPgd.CFG, rng_seed=2)
-            assert adv >= loss(net, x, y)
-
-    def test_zero_epsilon_equals_clean_loss(self):
-        cfg = AttackConfig(epsilon=0.0, step_size=0.1, steps=2, random_start=False)
-        net = init_network((2, 6, 1), rct_af(10.0, 1), seed=14)
-        x = np.array([0.2, -0.4])
-        assert adversarial_loss(net, x, 1.0, cfg, rng_seed=0) == loss(net, x, 1.0)

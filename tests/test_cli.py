@@ -271,6 +271,23 @@ class TestSweepAndPlot:
                      str(tmp_path / "r.csv")]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "epochs", 40.5),
+        ("train", "momentun", 0.5),
+        ("eval_attack", "random_start", "false"),
+        (None, "curvature_target", [7.0]),
+    ])
+    def test_sweep_with_mistyped_config_returns_1(self, tmp_path, capsys,
+                                                  section, key, value):
+        data = _tiny_sweep_dict()
+        (data if section is None else data[section])[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--config", str(bad), "--output", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_command_returns_1(self, capsys):
         assert main(["no-such-command"]) == 1
         capsys.readouterr()

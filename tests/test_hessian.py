@@ -14,8 +14,6 @@ samples in blocks of rows; TestDatasetDiagNorm compares it with
 per-sample sums across a block boundary.
 """
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -29,14 +27,12 @@ from curvact.hessian import (
     hessian_diag_fd,
     hessian_diag_fd_grad,
     normalized_diag_norm,
-    write_report_csv,
 )
 from curvact.network import (
     ActivationSpec,
     forward,
     grad_params,
     init_network,
-    param_layout,
 )
 
 from helpers import fd_loss_diag, hessian_diag_full, random_sample, small_net
@@ -106,7 +102,7 @@ class TestRecursionClosedForm:
         net = small_net(widths=(2, 3, 1), alpha=20.0, beta=0, seed=1)
         net.biases[0][0] = -1000.0
         x = np.zeros(2)
-        assert forward(net, x).d1[0][0] == 0.0
+        assert forward(net, x).d1[0][0, 0] == 0.0
         assert np.all(np.isfinite(hessian_diag_exact(net, x, 1.0).diag))
 
 
@@ -176,7 +172,7 @@ class TestSingleHiddenLayerClosedForm:
         net = small_net(widths=(3, 4, 1), alpha=7.0, beta=1, seed=9)
         x, y = random_sample(rng, net)
         report = hessian_diag_exact(net, x, y)
-        h1 = forward(net, x).h[1]
+        h1 = forward(net, x).h[1][0]
         np.testing.assert_array_equal(report.diag[-5:-1], h1 * h1)
         assert report.diag[-1] == 1.0
 
@@ -200,7 +196,7 @@ class TestDecomposition:
         rng = np.random.default_rng(22)
         net = small_net(widths=(2, 3, 2, 1), alpha=4.0, beta=0, seed=3)
         x, _ = random_sample(rng, net)
-        f = forward(net, x).f
+        f = forward(net, x).f[0]
         report = hessian_diag_exact(net, x, f - 1.0)
         g = grad_params(net, x, f - 1.0)
         np.testing.assert_allclose(report.gauss_newton_part, g * g, rtol=1e-12)
@@ -211,7 +207,7 @@ class TestDecomposition:
             net = small_net(widths=(2, 4, 1), alpha=2.0 + trial, beta=trial % 3,
                             seed=trial)
             x, _ = random_sample(rng, net)
-            y = forward(net, x).f
+            y = forward(net, x).f[0]
             report = hessian_diag_exact(net, x, y)
             assert report.residual == 0.0
             np.testing.assert_array_equal(report.residual_part,
@@ -330,33 +326,3 @@ class TestDatasetDiagNorm:
             dataset_diag_norm(net, np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(ValueError, match="matching"):
             dataset_diag_norm(net, np.zeros((2, 2)), np.zeros(3))
-
-
-class TestReportSerialization:
-    def test_to_dict_round_trips_values(self):
-        net = small_net(seed=15)
-        report = hessian_diag_exact(net, np.array([0.1, -0.4]), 1.0)
-        data = report.to_dict()
-        assert set(data) == {
-            "diag", "gauss_newton_part", "residual_part", "residual",
-            "normalized_norm",
-        }
-        np.testing.assert_array_equal(np.array(data["diag"]), report.diag)
-        assert data["normalized_norm"] == report.normalized_norm
-
-    def test_csv_report(self, tmp_path):
-        net = small_net(widths=(2, 3, 1), seed=16)
-        report = hessian_diag_exact(net, np.array([0.6, 0.2]), -1.0)
-        path = tmp_path / "report.csv"
-        write_report_csv(report, net, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["parameter_index", "layer", "kind", "diag", "gn",
-                           "residual_part"]
-        assert len(rows) == 1 + net.param_count
-        layout = param_layout(net)
-        for k, row in enumerate(rows[1:]):
-            assert int(row[0]) == k
-            assert (int(row[1]), row[2]) == layout[k]
-            assert float(row[3]) == report.diag[k]
-            assert float(row[4]) == report.gauss_newton_part[k]

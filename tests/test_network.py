@@ -13,7 +13,7 @@ from curvact.attacks import AttackConfig, clean_accuracy, fgsm, pgd_batch
 from curvact.hessian import dataset_diag_norm, hessian_diag_exact, hessian_diag_fd
 from curvact.network import (
     Network,
-    backprop_deltas,
+    batch_deltas,
     flat_params,
     forward,
     forward_batch,
@@ -45,7 +45,7 @@ def hand_forward(net, x):
 def fd_delta(net, x, layer, h=1e-6):
     """FD derivative of the output with respect to each pre-activation."""
     trace = forward(net, x)
-    n = trace.z[layer].size
+    n = trace.z[layer].shape[1]
     out = np.empty(n)
     for i in range(n):
         out[i] = (_f_from_z(net, trace, layer, i, h) - _f_from_z(net, trace, layer, i, -h)) / (2 * h)
@@ -54,7 +54,7 @@ def fd_delta(net, x, layer, h=1e-6):
 
 def _f_from_z(net, trace, layer, i, bump):
     """Recompute f after nudging one pre-activation and replaying forward."""
-    z = trace.z[layer].copy()
+    z = trace.z[layer][0].copy()
     z[i] += bump
     h = value(net.activation, z) if layer < net.depth - 1 else z
     for l in range(layer + 1, net.depth):
@@ -103,8 +103,8 @@ def test_forward_zero_network():
                    [np.zeros(4), np.zeros(1)],
                    rct_af(2.0, 1))
     trace = forward(zero, np.array([0.5, -1.0, 2.0]))
-    assert trace.f == 0.0
-    assert np.all(trace.z[0] == 0.0)
+    assert trace.f[0] == 0.0
+    assert np.all(trace.z[0][0] == 0.0)
 
 
 def test_forward_single_neuron_composition():
@@ -114,7 +114,7 @@ def test_forward_single_neuron_composition():
                   [np.zeros(1), np.zeros(1)],
                   rct_af(1.0, 0))
     trace = forward(net, np.array([0.0]))
-    assert trace.f == pytest.approx(np.log(2.0), rel=1e-15)
+    assert trace.f[0] == pytest.approx(np.log(2.0), rel=1e-15)
 
 
 def test_forward_matches_hand_rollout():
@@ -122,7 +122,7 @@ def test_forward_matches_hand_rollout():
     for _ in range(10):
         net = init_network((3, 5, 4, 1), rct_af(4.0, 2), seed=int(rng.integers(1 << 31)))
         x = rng.normal(size=3)
-        assert forward(net, x).f == pytest.approx(hand_forward(net, x), rel=1e-12)
+        assert forward(net, x).f[0] == pytest.approx(hand_forward(net, x), rel=1e-12)
 
 
 def test_forward_shape_errors():
@@ -143,9 +143,9 @@ def test_batch_forward_consistency():
     X = np.random.default_rng(0).normal(size=(9, 2))
     bt = forward_batch(net, X)
     for i in range(X.shape[0]):
-        single = forward(net, X[i]).f
+        single = forward(net, X[i]).f[0]
         assert bt.f[i] == pytest.approx(single, rel=1e-13)
-    assert forward_batch(net, X[:1]).f[0] == forward(net, X[0]).f
+    assert forward_batch(net, X[:1]).f[0] == forward(net, X[0]).f[0]
 
 
 def test_delta_terminal_and_single_hidden():
@@ -154,10 +154,10 @@ def test_delta_terminal_and_single_hidden():
                   [np.array([0.2]), np.array([0.1])],
                   rct_af(2.0, 0))
     trace = forward(net, np.array([0.4]))
-    deltas = backprop_deltas(net, trace)
-    assert deltas.delta[-1][0] == 1.0
-    expected = -0.7 * d1(net.activation, trace.z[0][0])
-    assert deltas.delta[0][0] == pytest.approx(expected, rel=1e-14)
+    delta = batch_deltas(net, trace)
+    assert delta[-1][0, 0] == 1.0
+    expected = -0.7 * d1(net.activation, trace.z[0][0, 0])
+    assert delta[0][0, 0] == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize("widths", [(2, 3, 1), (3, 4, 4, 1), (2, 5, 3, 2, 1)])
@@ -167,16 +167,16 @@ def test_deltas_match_fd(widths):
     net = init_network(widths, rct_af(4.0, 1), seed=21)
     x = rng.normal(size=widths[0])
     trace = forward(net, x)
-    deltas = backprop_deltas(net, trace)
+    delta = batch_deltas(net, trace)
     for layer in range(net.depth):
         fd = fd_delta(net, x, layer)
-        np.testing.assert_allclose(deltas.delta[layer], fd, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(delta[layer][0], fd, rtol=1e-6, atol=1e-9)
 
 
 def test_loss_values():
     net = init_network((2, 3, 1), rct_af(1.0, 0), seed=0)
     x = np.array([0.1, 0.2])
-    f = forward(net, x).f
+    f = forward(net, x).f[0]
     assert loss(net, x, f) == 0.0
     lin = Network((2, 1), [np.array([[1.0, 0.0]])], [np.zeros(1)], rct_af(1.0, 0))
     assert loss(lin, np.array([3.0, 0.0]), 1.0) == 2.0
@@ -195,7 +195,7 @@ def test_grad_params_zero_at_fit():
     """Residual zero means every parameter gradient is zero."""
     net = init_network((2, 3, 1), rct_af(4.0, 1), seed=1)
     x = np.array([0.4, -0.2])
-    y = forward(net, x).f
+    y = forward(net, x).f[0]
     np.testing.assert_array_equal(grad_params(net, x, y), np.zeros(net.param_count))
 
 
@@ -208,7 +208,7 @@ def test_grad_params_output_layer_structure():
     grad = grad_params(net, x, y)
     layout = param_layout(net)
     out_w = [k for k, (layer, kind) in enumerate(layout) if layer == 2 and kind == "weight"]
-    np.testing.assert_allclose(grad[out_w], (trace.f - y) * trace.h[1], rtol=1e-13)
+    np.testing.assert_allclose(grad[out_w], (trace.f[0] - y) * trace.h[1][0], rtol=1e-13)
 
 
 def test_grad_input_linear_net():
@@ -216,7 +216,7 @@ def test_grad_input_linear_net():
     lin = Network((2, 1), [w], [np.array([0.25])], rct_af(1.0, 0))
     x = np.array([1.0, 1.0])
     y = 0.5
-    f = forward(lin, x).f
+    f = forward(lin, x).f[0]
     np.testing.assert_allclose(grad_input(lin, x, y), (f - y) * w[0], rtol=1e-14)
 
 
@@ -268,6 +268,22 @@ def test_network_json_round_trip(tmp_path):
         np.testing.assert_array_equal(loaded.biases[l], net.biases[l])
 
 
+def test_network_json_in_the_older_key_order_loads(tmp_path):
+    """Files written before the keys followed field order (activation
+    second) load unchanged; a misspelled key is rejected by name."""
+    path = tmp_path / "old.json"
+    path.write_text('{"widths": [2, 1], "activation": {"kind": "gelu"}, '
+                    '"weights": [[[0.5, -1.25]]], "biases": [[0.125]]}')
+    net = load_network(path)
+    assert net.widths == (2, 1) and net.activation == act.gelu()
+    np.testing.assert_array_equal(net.weights[0], [[0.5, -1.25]])
+    np.testing.assert_array_equal(net.biases[0], [0.125])
+    path.write_text('{"widths": [2, 1], "activation": {"kind": "gelu"}, '
+                    '"weights": [[[0.5, -1.25]]], "bias": [[0.125]]}')
+    with pytest.raises(ValueError, match="bias"):
+        load_network(path)
+
+
 def test_flat_params_round_trip():
     net = init_network((3, 4, 2, 1), rct_af(4.0, 2), seed=11)
     vec = flat_params(net)
@@ -314,7 +330,7 @@ def test_trace_slopes_equal_d1_bitwise(spec):
         np.testing.assert_array_equal(_bits(bt.h[l + 1]), _bits(value(spec, z)))
     single = forward(net, X[2])
     for l in range(net.depth - 1):
-        np.testing.assert_array_equal(_bits(single.d1[l]), _bits(d1(spec, single.z[l])))
+        np.testing.assert_array_equal(_bits(single.d1[l][0]), _bits(d1(spec, single.z[l][0])))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

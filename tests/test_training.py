@@ -7,13 +7,14 @@ under a minute.
 
 import csv
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from curvact.activations import alpha_for_curvature, rct_af
-from curvact.attacks import AttackConfig
+from curvact.attacks import AttackConfig, clean_accuracy
 from curvact.data import gaussian_blobs, make_dataset, two_moons
 from curvact.errors import ResultsFormatError, TrainingDivergedError
 from curvact.network import flat_params, init_network
@@ -127,8 +128,8 @@ class TestTrainNetwork:
         ds = make_dataset(gaussian_blobs(separation=6.0), n=250, seed=11)
         net = init_network((2, 16, 1), rct_af(14.0, 1), seed=3)
         cfg = TrainConfig(epochs=200, batch_size=32, learning_rate=0.05, seed=3)
-        _, history = train_network(net, ds, cfg)
-        assert history.clean_test_acc[-1] >= 0.98
+        trained, _ = train_network(net, ds, cfg)
+        assert clean_accuracy(trained, ds.x_test, ds.y_test) >= 0.98
 
     def test_zero_budget_adversarial_equals_standard(self):
         ds = _moons()
@@ -161,7 +162,7 @@ class TestTrainNetwork:
         assert len(calls) == 3
         np.testing.assert_array_equal(flat_params(without), flat_params(with_eval))
         assert hist_without.train_loss == hist_with.train_loss
-        assert hist_without.clean_test_acc == hist_with.clean_test_acc
+        assert hist_without.clean_test_acc == []
         assert hist_without.robust_test_acc == []
 
     def test_deterministic_given_seeds(self):
@@ -214,11 +215,57 @@ class TestSweepConfig:
         cfg = default_sweep_config()
         assert SweepConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_json_text_keeps_its_key_order(self):
+        """Committed config files are compared as text; the encoding must
+        not reorder keys or change number formatting."""
+        assert json.dumps(default_sweep_config().to_dict()) == (
+            '{"curvature_targets": [0.5, 1.0, 2.0, 4.0, 7.0, 10.0, 15.0, 20.0, 30.0, 50.0], '
+            '"betas": [0, 1, 2], "seeds": [0, 1, 2, 3, 4], "widths": [2, 16, 16, 1], '
+            '"dataset": {"kind": "two_moons", "noise": 0.04}, "dataset_n": 240, '
+            '"dataset_seed": 7, "train": {"epochs": 40, "batch_size": 16, '
+            '"learning_rate": 0.08, "momentum": 0.9, "mode": "pgd_adversarial", "seed": 0, '
+            '"attack": {"epsilon": 0.25, "step_size": 0.0625, "steps": 10, '
+            '"random_start": true}}, "eval_attack": {"epsilon": 0.25, '
+            '"step_size": 0.015625, "steps": 40, "random_start": true}}')
+
     def test_from_dict_names_missing_fields(self):
         data = default_sweep_config().to_dict()
         del data["eval_attack"]
         with pytest.raises(ValueError, match="eval_attack"):
             SweepConfig.from_dict(data)
+
+    # Each bad input names the offending field.  momentum and seed have
+    # defaults in Python but are required in TrainConfig JSON, which
+    # to_dict has always written.
+    @pytest.mark.parametrize("section, key, value, field", [
+        ("train", "epochs", 40.5, "epochs"),
+        ("train", "momentun", 0.5, "momentun"),
+        ("eval_attack", "random_start", "false", "random_start"),
+        (None, "curvature_target", [1.0], "curvature_target"),
+        ("train", "momentum", None, "momentum"),
+        ("dataset", "noise", "0.04", "noise"),
+        ("train", "batch_size", True, "batch_size"),
+    ])
+    def test_from_dict_rejects_bad_input(self, section, key, value, field):
+        data = default_sweep_config().to_dict()
+        (data if section is None else data[section])[key] = value
+        with pytest.raises(ValueError, match=field):
+            SweepConfig.from_dict(data)
+
+    def test_train_json_requires_momentum_and_seed(self):
+        data = default_sweep_config().train.to_dict()
+        for key in ("momentum", "seed"):
+            partial = {k: v for k, v in data.items() if k != key}
+            with pytest.raises(ValueError, match=key):
+                TrainConfig.from_dict(partial)
+
+    def test_from_dict_accepts_integral_floats_and_int_rates(self):
+        data = default_sweep_config().to_dict()
+        data["train"]["epochs"] = 40.0
+        data["train"]["learning_rate"] = 1
+        cfg = SweepConfig.from_dict(data)
+        assert cfg.train.epochs == 40 and isinstance(cfg.train.epochs, int)
+        assert cfg.train.learning_rate == 1.0 and isinstance(cfg.train.learning_rate, float)
 
 
 class TestRunSweep:
