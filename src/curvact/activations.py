@@ -10,7 +10,12 @@ applying the map sigma -> sigma' * x:
 All three peaks sit at x = 0 and sigma'' is even, so alpha dials the
 maximum curvature of the activation directly.  Baselines (ReLU, LeakyReLU,
 ELU, GELU, Swish, Mish, Softplus) come with matching derivatives where
-they exist.
+they exist.  Softplus and Swish are the family members with alpha = 1 and
+beta = 0, 1, bit for bit (multiplying by alpha = 1.0 is exact).
+
+One kernel per kind, _kernel(spec, x, order), returns sigma up to its
+order-th derivative; value, d1 and d2 are that kernel behind a finiteness
+check, and the network asks it for the order its caller needs.
 
 Derivatives for beta = 1, 2 are closed forms in s = logistic(alpha*x),
 g = s * (1 - s) and m = 1 - 2s:
@@ -39,11 +44,6 @@ from .errors import UnsupportedActivationError
 from .record import Record
 
 KINDS = ("rct_af", "relu", "leaky_relu", "elu", "gelu", "swish", "mish", "softplus")
-
-# Activations with a continuous second derivative on all of R.  ELU is
-# excluded: its second derivative jumps from 1 to 0 at x = 0 (we report the
-# left limit there so the supremum is attained on a grid).
-C2_KINDS = ("rct_af", "gelu", "swish", "mish", "softplus")
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -144,7 +144,7 @@ def _sgm(t: np.ndarray):
 def value(spec: ActivationSpec, x):
     """Evaluate sigma(x).  Accepts a scalar or an ndarray."""
     arr = _check_input(x)
-    return _ret(arr, _value(spec, arr))
+    return _ret(arr, _kernel(spec, arr, 0)[0])
 
 
 def d1(spec: ActivationSpec, x):
@@ -154,85 +154,7 @@ def d1(spec: ActivationSpec, x):
     emit a SubgradientWarning there.
     """
     arr = _check_input(x)
-    return _ret(arr, _d1(spec, arr))
-
-
-# The kernels below take a float64 array the caller has already checked for
-# finiteness; the network checks each pre-activation once, where it is made.
-
-
-def _shares_logistic(spec: ActivationSpec) -> bool:
-    return spec.kind == "swish" or (spec.kind == "rct_af" and spec.beta > 0)
-
-
-def _value_d1(spec: ActivationSpec, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sigma and sigma' together, from one logistic evaluation where both use
-    it; bit for bit the same as _value and _d1."""
-    if not _shares_logistic(spec):
-        return _value(spec, arr), _d1(spec, arr)
-    t = arr if spec.kind == "swish" else spec.alpha * arr
-    s, g, m = _sgm(t)
-    if spec.kind == "rct_af" and spec.beta == 2:
-        return (s + t * g) * arr, s + 3.0 * t * g + t * t * g * m
-    return arr * s, s + t * g
-
-
-def _value(spec: ActivationSpec, arr: np.ndarray) -> np.ndarray:
-    k = spec.kind
-    if k == "rct_af":
-        t = spec.alpha * arr
-        if spec.beta == 0:
-            out = np.logaddexp(0.0, t) / spec.alpha
-        elif spec.beta == 1:
-            out = arr * expit(t)
-        else:
-            s, g, _ = _sgm(t)
-            out = (s + t * g) * arr
-    elif k == "relu":
-        out = np.maximum(arr, 0.0)
-    elif k == "leaky_relu":
-        out = np.where(arr > 0, arr, spec.slope * arr)
-    elif k == "elu":
-        out = np.where(arr > 0, arr, np.expm1(np.minimum(arr, 0.0)))
-    elif k == "gelu":
-        out = arr * 0.5 * (1.0 + erf(arr / _SQRT2))
-    elif k == "swish":
-        out = arr * expit(arr)
-    elif k == "mish":
-        out = arr * np.tanh(np.logaddexp(0.0, arr))
-    else:  # softplus
-        out = np.logaddexp(0.0, arr)
-    return out
-
-
-def _d1(spec: ActivationSpec, arr: np.ndarray) -> np.ndarray:
-    k = spec.kind
-    if _shares_logistic(spec):
-        out = _value_d1(spec, arr)[1]
-    elif k == "rct_af":  # beta = 0
-        out = expit(spec.alpha * arr)
-    elif k in ("relu", "leaky_relu"):
-        if np.any(arr == 0.0):
-            warnings.warn(
-                f"{k} is not differentiable at x = 0; returning the "
-                "right-hand derivative",
-                SubgradientWarning,
-                stacklevel=3,
-            )
-        neg = 0.0 if k == "relu" else spec.slope
-        out = np.where(arr >= 0, 1.0, neg)
-    elif k == "elu":
-        out = np.where(arr > 0, 1.0, np.exp(np.minimum(arr, 0.0)))
-    elif k == "gelu":
-        phi = _INV_SQRT_2PI * np.exp(-0.5 * arr * arr)
-        out = 0.5 * (1.0 + erf(arr / _SQRT2)) + arr * phi
-    elif k == "mish":
-        sp = np.logaddexp(0.0, arr)
-        th = np.tanh(sp)
-        out = th + arr * (1.0 - th * th) * expit(arr)
-    else:  # softplus
-        out = expit(arr)
-    return out
+    return _ret(arr, _kernel(spec, arr, 1)[1])
 
 
 def d2(spec: ActivationSpec, x):
@@ -242,36 +164,81 @@ def d2(spec: ActivationSpec, x):
     derivative is a point mass at the kink.  ELU returns the left limit 1.0
     at x = 0 so that sup |sigma''| = 1 is attained.
     """
-    if not spec.twice_differentiable:
-        raise UnsupportedActivationError(f"{spec.kind} has no pointwise second derivative")
     arr = _check_input(x)
+    return _ret(arr, _kernel(spec, arr, 2)[2])
+
+
+# softplus and swish run as the family members with alpha = 1 and beta = 0, 1.
+_AS_FAMILY = {"softplus": rct_af(1.0, 0), "swish": rct_af(1.0, 1)}
+
+
+def _kernel(spec: ActivationSpec, x: np.ndarray, order: int) -> list[np.ndarray]:
+    """[sigma, sigma', sigma''][:order + 1] at x, a float64 array already
+    checked for finiteness.  Each kind computes its shared terms once, and
+    no order evaluates a term above its own.
+    """
+    spec = _AS_FAMILY.get(spec.kind, spec)
     k = spec.kind
     if k == "rct_af":
-        t = spec.alpha * arr
-        _, g, m = _sgm(t)
-        if spec.beta == 0:
-            out = spec.alpha * g
-        elif spec.beta == 1:
-            out = spec.alpha * g * (2.0 + t * m)
+        a, b = spec.alpha, spec.beta
+        t = a * x
+        if b == 0:
+            out = [np.logaddexp(0.0, t) / a]
+            if order:
+                s = expit(t)
+                out.append(s)
+                if order == 2:
+                    out.append(a * (s * expit(-t)))
+        elif b == 1 and order == 0:
+            out = [x * expit(t)]
         else:
-            out = spec.alpha * g * (4.0 + 5.0 * t * m + t * t * (m * m - 2.0 * g))
+            s, g, m = _sgm(t)
+            if b == 1:
+                out = [x * s, s + t * g]
+                if order == 2:
+                    out.append(a * g * (2.0 + t * m))
+            else:
+                out = [(s + t * g) * x]
+                if order:
+                    out.append(s + 3.0 * t * g + t * t * g * m)
+                    if order == 2:
+                        out.append(a * g * (4.0 + 5.0 * t * m + t * t * (m * m - 2.0 * g)))
+    elif k in ("relu", "leaky_relu"):
+        if order == 2:
+            raise UnsupportedActivationError(f"{k} has no pointwise second derivative")
+        out = [np.maximum(x, 0.0) if k == "relu" else np.where(x > 0, x, spec.slope * x)]
+        if order:
+            if np.any(x == 0.0):
+                warnings.warn(f"{k} is not differentiable at x = 0; returning the "
+                              "right-hand derivative", SubgradientWarning, stacklevel=3)
+            out.append(np.where(x >= 0, 1.0, 0.0 if k == "relu" else spec.slope))
     elif k == "elu":
-        out = np.where(arr > 0, 0.0, np.exp(np.minimum(arr, 0.0)))
+        pos = x > 0
+        neg = np.minimum(x, 0.0)
+        out = [np.where(pos, x, np.expm1(neg))]
+        if order:
+            e = np.exp(neg)
+            out.append(np.where(pos, 1.0, e))
+            if order == 2:
+                out.append(np.where(pos, 0.0, e))
     elif k == "gelu":
-        phi = _INV_SQRT_2PI * np.exp(-0.5 * arr * arr)
-        out = phi * (2.0 - arr * arr)
-    elif k == "swish":
-        _, g, m = _sgm(arr)
-        out = g * (2.0 + arr * m)
-    elif k == "mish":
-        sp = np.logaddexp(0.0, arr)
-        th = np.tanh(sp)
-        s = expit(arr)
-        out = (1.0 - th * th) * s * (2.0 + arr * ((1.0 - s) - 2.0 * th * s))
-    else:  # softplus
-        _, g, _ = _sgm(arr)
-        out = g
-    return _ret(arr, out)
+        cdf2 = 1.0 + erf(x / _SQRT2)  # twice the normal cdf
+        out = [x * 0.5 * cdf2]
+        if order:
+            phi = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+            out.append(0.5 * cdf2 + x * phi)
+            if order == 2:
+                out.append(phi * (2.0 - x * x))
+    else:  # mish
+        th = np.tanh(np.logaddexp(0.0, x))
+        out = [x * th]
+        if order:
+            s = expit(x)
+            sech2 = 1.0 - th * th
+            out.append(th + x * sech2 * s)
+            if order == 2:
+                out.append(sech2 * s * (2.0 + x * ((1.0 - s) - 2.0 * th * s)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -316,33 +283,24 @@ def _golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
     return x, fn(x)
 
 
-def max_abs_d2(spec: ActivationSpec, grid_points: int = 4001) -> CurvatureProfile:
+def max_abs_d2(spec: ActivationSpec) -> CurvatureProfile:
     """Grid-plus-refinement search for the maximum of |sigma''|.
 
     For the tunable family the analytic peak (alpha/4, alpha/2 or alpha at
     x = 0) is returned after verifying no grid point beats it.  ReLU-style
     kinks report +inf at the kink location.
     """
-    if grid_points < 3:
-        raise ValueError("grid_points must be at least 3")
     if spec.kind in ("relu", "leaky_relu"):
         return CurvatureProfile(spec, 0.0, math.inf)
 
-    def score(x: float) -> float:
-        return abs(d2(spec, x))
-
-    if spec.kind == "rct_af":
-        analytic = spec.alpha / (4.0, 2.0, 1.0)[spec.beta]
-        xs = _symmetric_grid(20.0 / spec.alpha, max(grid_points, 4001))
-    else:
-        analytic = None
-        xs = _symmetric_grid(20.0, max(grid_points, 4001))
-
+    family = spec.kind == "rct_af"
+    analytic = spec.alpha / (4.0, 2.0, 1.0)[spec.beta] if family else None
+    xs = _symmetric_grid(20.0 / spec.alpha if family else 20.0, 4001)
     vals = np.abs(d2(spec, xs))
     k = int(np.argmax(vals))
     lo = xs[max(k - 1, 0)]
     hi = xs[min(k + 1, len(xs) - 1)]
-    x_ref, v_ref = _golden_max(score, float(lo), float(hi))
+    x_ref, v_ref = _golden_max(lambda x: abs(d2(spec, x)), float(lo), float(hi))
     if v_ref >= vals[k]:
         best_x, best_v = x_ref, v_ref
     else:

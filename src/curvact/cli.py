@@ -274,20 +274,20 @@ def cmd_plot(args) -> int:
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=42,
-                        help="seed for any sampling the subcommand performs")
-    common.add_argument("--output", default=None,
+    # Each subcommand takes only the shared options it reads.
+    output = _Parser(add_help=False)
+    output.add_argument("--output", default=None,
                         help="output file (default: stdout or a kind-derived name)")
-    common.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="structured output format where supported")
+    table = _Parser(add_help=False, parents=[output])
+    table.add_argument("--format", choices=("csv", "json"), default=None,
+                       help="structured output format")
 
     parser = _Parser(prog="curvact",
                      description="Curvature-tunable activations, exact Hessian "
                                  "diagonals and adversarial-robustness sweeps.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("act-table", parents=[common],
+    p = sub.add_parser("act-table", parents=[table],
                        help="tabulate an activation and its derivatives")
     p.add_argument("activation",
                    help="activation spec, e.g. rct_af:alpha=7,beta=2 or gelu")
@@ -296,21 +296,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-points", type=int, default=101)
     p.set_defaults(func=cmd_act_table)
 
-    p = sub.add_parser("curvature", parents=[common],
+    p = sub.add_parser("curvature", parents=[table],
                        help="report max |second derivative| per activation")
     p.add_argument("activations", nargs="+",
                    help="activation specs, e.g. gelu swish rct_af:alpha=7,beta=2")
     p.set_defaults(func=cmd_curvature)
 
-    p = sub.add_parser("hessian-check", parents=[common],
+    p = sub.add_parser("hessian-check",
                        help="compare the exact Hessian diagonal to finite differences")
+    p.add_argument("--seed", type=int, default=42,
+                   help="seed for the random networks and samples")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--net", default=None,
                    help="JSON network file (default: fresh random networks)")
     p.set_defaults(func=cmd_hessian_check)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[output],
                        help="run the curvature/robustness sweep")
     p.add_argument("--config", default=None,
                    help="sweep config JSON (default: built-in desk-scale sweep)")
@@ -320,7 +322,7 @@ def _build_parser() -> _Parser:
                    help="worker processes (default: available parallelism)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("plot", parents=[common],
+    p = sub.add_parser("plot", parents=[output],
                        help="render a sweep results CSV as an SVG chart")
     p.add_argument("results", help="sweep results CSV file")
     p.add_argument("--kind", choices=sorted(PLOT_KINDS), required=True)

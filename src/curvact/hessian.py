@@ -35,6 +35,9 @@ recursion alone, and deeper nets add the coupling term.  The recursion is
 exact at any depth; the tests cross-check it against the dense
 full-matrix propagation and against finite differences.
 
+sigma' and sigma'' come from the forward pass, run at derivative order 2,
+so each hidden layer's activation is evaluated once.
+
 The recursion and the assembly of the diagonal run over a batch of input
 rows at once (Off is then an (N, n, n) array).  hessian_diag_exact is the
 batch-of-one view, and dataset_diag_norm walks a dataset in fixed blocks
@@ -47,8 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import activations as act
-from .errors import UnsupportedActivationError
 # forward and backprop_deltas are not used here; they stay importable from
 # this module because the benchmark's span tracer wraps them at this name.
 from .network import (  # noqa: F401
@@ -70,13 +71,6 @@ from .network import (  # noqa: F401
 _BLOCK_ROWS = 32
 
 
-def _require_twice_differentiable(net: Network) -> None:
-    if not net.activation.twice_differentiable:
-        raise UnsupportedActivationError(
-            f"{net.activation.kind} lacks the second derivative needed here"
-        )
-
-
 def _curvature_rows(net: Network, trace: BatchTrace,
                     delta: list[np.ndarray]) -> list[np.ndarray]:
     """D^(l) per layer over the rows of trace; D^(L) is all zeros."""
@@ -88,7 +82,7 @@ def _curvature_rows(net: Network, trace: BatchTrace,
         W_next = net.weights[l + 1]
         s = delta[l + 1] @ W_next
         sig1 = trace.d1[l]
-        sig2 = act.d2(net.activation, trace.z[l])
+        sig2 = trace.d2[l]
         back = d[l + 1] @ (W_next * W_next)
         if off is not None:
             off_w = off @ W_next
@@ -106,9 +100,9 @@ def _curvature_rows(net: Network, trace: BatchTrace,
 
 def _diag_rows(net: Network, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
     """Hessian diagonal of every row's loss: (diag, gauss-newton part,
-    residual part), each (rows, p), and the residuals f - y."""
-    _require_twice_differentiable(net)
-    trace = forward_batch(net, X, with_d1=True)
+    residual part), each (rows, p), and the residuals f - y.  The order-2
+    forward pass raises UnsupportedActivationError for ReLU and LeakyReLU."""
+    trace = forward_batch(net, X, order=2)
     delta = batch_deltas(net, trace)
     D = _curvature_rows(net, trace, delta)
     residual = trace.f - y

@@ -112,14 +112,15 @@ class BatchTrace:
     """Forward pass over a batch: z[l-1] and h[l-1] are layer-l arrays.
 
     h has one extra leading entry, h[0] = X; f collects the scalar outputs.
-    d1[l-1] is sigma'(z[l-1]) for each hidden layer when the pass was run
-    for a backward pass, and None otherwise.
+    d1[l-1] and d2[l-1] are sigma'(z[l-1]) and sigma''(z[l-1]) per hidden
+    layer from a pass run at derivative order 1 or 2; None below it.
     """
 
     z: list[np.ndarray]
     h: list[np.ndarray]
     f: np.ndarray
     d1: list[np.ndarray] | None = None
+    d2: list[np.ndarray] | None = None
 
 
 def _check_batch(net: Network, X) -> np.ndarray:
@@ -136,41 +137,43 @@ def _as_row(x) -> np.ndarray:
     return x[None, :]
 
 
-def forward_batch(net: Network, X, *, with_d1: bool = False) -> BatchTrace:
+def forward_batch(net: Network, X, *, order: int = 0) -> BatchTrace:
     """Forward pass over the rows of X.
 
     Every hidden pre-activation is checked for finiteness once, here, and
-    raises ValueError if it is not.  with_d1 keeps sigma'(z) of each hidden
-    layer, taken from the same activation evaluation as sigma(z), for a
-    backward pass; forward-only callers leave it off.
+    raises ValueError if it is not.  order is the highest derivative of
+    sigma the trace keeps for each hidden layer, taken from the same
+    activation evaluation as sigma(z): 0 for forward-only callers, 1 adds
+    sigma' for a backward pass, 2 adds sigma'' for the exact Hessian.
     """
+    if order not in (0, 1, 2):
+        raise ValueError("order must be 0, 1 or 2")
     X = _check_batch(net, X)
     L = net.depth
-    z_list, h_list = [], [X]
-    d1_list = [] if with_d1 else None
+    z_list, h_list, terms = [], [X], []
     a = X
     for l in range(L):
         z = a @ net.weights[l].T + net.biases[l]
         z_list.append(z)
         if l < L - 1:
             act._check_input(z)
-            if with_d1:
-                a, slope = act._value_d1(net.activation, z)
-                d1_list.append(slope)
-            else:
-                a = act._value(net.activation, z)
+            t = act._kernel(net.activation, z, order)
+            a = t[0]
             h_list.append(a)
-    return BatchTrace(z_list, h_list, z_list[-1][:, 0], d1_list)
+            terms.append(t)
+    d1 = [t[1] for t in terms] if order else None
+    d2 = [t[2] for t in terms] if order == 2 else None
+    return BatchTrace(z_list, h_list, z_list[-1][:, 0], d1, d2)
 
 
 def forward(net: Network, x) -> BatchTrace:
     """Per-sample forward pass: the one-row view of forward_batch, keeping
     sigma' for batch_deltas.  Every array in the trace has one row."""
-    return forward_batch(net, _as_row(x), with_d1=True)
+    return forward_batch(net, _as_row(x), order=1)
 
 
 def batch_deltas(net: Network, trace: BatchTrace) -> list[np.ndarray]:
-    """delta^(l) per layer from a trace made with with_d1=True."""
+    """delta^(l) per layer from a trace made at order 1 or 2."""
     L = net.depth
     n = trace.f.shape[0]
     delta = [None] * L
@@ -198,7 +201,7 @@ def grad_params_batch(net: Network, X, y) -> list[tuple[np.ndarray, np.ndarray]]
     """Per-layer (dW, db) gradients of the mean squared loss over the batch."""
     X = _check_batch(net, X)
     y = np.asarray(y, dtype=np.float64)
-    bt = forward_batch(net, X, with_d1=True)
+    bt = forward_batch(net, X, order=1)
     delta = batch_deltas(net, bt)
     resid = (bt.f - y)[:, None]
     n = X.shape[0]
@@ -220,7 +223,7 @@ def grad_input_batch(net: Network, X, y) -> np.ndarray:
     """Gradient of each per-sample loss with respect to its input row."""
     X = _check_batch(net, X)
     y = np.asarray(y, dtype=np.float64)
-    bt = forward_batch(net, X, with_d1=True)
+    bt = forward_batch(net, X, order=1)
     delta = batch_deltas(net, bt)
     return ((bt.f - y)[:, None] * delta[0]) @ net.weights[0]
 

@@ -269,20 +269,26 @@ def test_alpha_for_curvature_round_trip():
         alpha_for_curvature(0, -2.0)
 
 
+# Central, saturated, signed-zero and subnormal inputs.
+_IDENTITY_XS = np.concatenate([np.linspace(-30.0, 30.0, 1201),
+                               [-745.0, 745.0, -0.0, 0.0, -5e-324, 5e-324, -1e-310, 1e-310]])
+
+
+def _assert_same_bits(a, b):
+    np.testing.assert_array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
 def test_beta1_curvature_half_matches_swish():
-    """rct_af(1, 1) is the standard swish: identical values everywhere."""
-    xs = np.linspace(-20.0, 20.0, 801)
-    np.testing.assert_allclose(value(rct_af(1.0, 1), xs), value(swish(), xs),
-                               rtol=1e-13, atol=1e-300)
-    np.testing.assert_allclose(d2(rct_af(1.0, 1), xs), d2(swish(), xs),
-                               rtol=1e-12, atol=1e-300)
+    """rct_af(1, 1) is the standard swish, bit for bit: multiplying by
+    alpha = 1.0 is exact."""
+    for fn in (value, d1, d2):
+        _assert_same_bits(fn(rct_af(1.0, 1), _IDENTITY_XS), fn(swish(), _IDENTITY_XS))
 
 
 def test_softplus_identity_with_beta0():
-    """rct_af(1, 0) coincides with the softplus baseline."""
-    xs = np.linspace(-30.0, 30.0, 601)
-    np.testing.assert_allclose(value(rct_af(1.0, 0), xs), value(softplus(), xs),
-                               rtol=1e-13, atol=1e-300)
+    """rct_af(1, 0) is the softplus baseline, bit for bit."""
+    for fn in (value, d1, d2):
+        _assert_same_bits(fn(rct_af(1.0, 0), _IDENTITY_XS), fn(softplus(), _IDENTITY_XS))
 
 
 def test_json_round_trip():

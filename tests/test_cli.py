@@ -291,3 +291,31 @@ class TestSweepAndPlot:
     def test_unknown_command_returns_1(self, capsys):
         assert main(["no-such-command"]) == 1
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, option, arg", [
+    ("act-table", "--seed", "1"),
+    ("curvature", "--seed", "1"),
+    ("hessian-check", "--output", "check.txt"),
+    ("hessian-check", "--format", "json"),
+    ("sweep", "--seed", "3"),
+    ("sweep", "--format", "csv"),
+    ("plot", "--seed", "1"),
+    ("plot", "--format", "json"),
+])
+def test_option_the_subcommand_does_not_read_is_rejected(
+        command, option, arg, sweep_csv, tmp_path, monkeypatch, capsys):
+    """Each subcommand takes only the shared options it reads; the rest
+    are usage errors, not silently ignored."""
+    monkeypatch.chdir(tmp_path)
+    cfg_path, results = sweep_csv
+    valid = {
+        "act-table": ["act-table", "gelu"],
+        "curvature": ["curvature", "gelu"],
+        "hessian-check": ["hessian-check", "--trials", "1"],
+        "sweep": ["sweep", "--config", str(cfg_path), "--output", "r.csv", "--jobs", "1"],
+        "plot": ["plot", str(results), "--kind", "norm_vs_curvature", "--output", "p.svg"],
+    }[command]
+    assert main(valid + [option, arg]) == 1
+    assert f"unrecognized arguments: {option} {arg}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

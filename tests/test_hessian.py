@@ -214,14 +214,17 @@ class TestDecomposition:
                                           np.zeros(net.param_count))
             np.testing.assert_array_equal(report.diag, report.gauss_newton_part)
 
-    def test_zero_second_derivative_collapses_to_gauss_newton(self, monkeypatch):
-        # With sigma'' forced to zero the network is curvature-free in z, so
-        # the D table and the residual part must vanish identically.
-        monkeypatch.setattr(hess.act, "d2", lambda spec, z: np.zeros_like(z))
-        rng = np.random.default_rng(24)
-        net = small_net(widths=(2, 3, 3, 1), alpha=9.0, beta=1, seed=6)
-        x, y = random_sample(rng, net)
-        report = hessian_diag_exact(net, x, y)
+    def test_zero_second_derivative_collapses_to_gauss_newton(self):
+        # ELU is the identity on the positive half-line, where sigma'' is
+        # exactly 0.  Non-negative weights, zero biases and a positive input
+        # keep every hidden pre-activation there, so the network is
+        # curvature-free in z: the D table and the residual part vanish.
+        net = init_network((2, 3, 3, 1), act.elu(), seed=6)
+        net.weights = [np.abs(W) for W in net.weights]
+        x = np.array([0.7, 1.3])
+        assert all(np.all(z > 0.0) for z in forward(net, x).z[:-1])
+        report = hessian_diag_exact(net, x, -1.0)
+        assert report.residual != 0.0
         np.testing.assert_array_equal(report.residual_part, np.zeros(net.param_count))
         np.testing.assert_array_equal(report.diag, report.gauss_newton_part)
 

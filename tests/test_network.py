@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from curvact import activations as act
-from curvact.activations import SubgradientWarning, d1, rct_af, value
+from curvact.activations import SubgradientWarning, d1, d2, rct_af, value
 from curvact.attacks import AttackConfig, clean_accuracy, fgsm, pgd_batch
+from curvact.errors import UnsupportedActivationError
 from curvact.hessian import dataset_diag_norm, hessian_diag_exact, hessian_diag_fd
 from curvact.network import (
     Network,
@@ -316,18 +317,31 @@ def _bits(a):
 @pytest.mark.parametrize("spec", ALL_KIND_SPECS,
                          ids=lambda s: f"rct_af-beta{s.beta}" if s.kind == "rct_af" else s.kind)
 def test_trace_slopes_equal_d1_bitwise(spec):
-    """sigma' kept by the forward pass is the public d1, bit for bit, on
-    central and saturated pre-activations; sigma is the public value."""
+    """sigma' and sigma'' kept by the forward pass are the public d1 and d2,
+    bit for bit, on central and saturated pre-activations; sigma is the
+    public value, and z, h and sigma' do not depend on the order asked for.
+    ReLU and LeakyReLU have no order 2."""
     net = init_network((2, 6, 5, 1), spec, seed=4)
     net.weights[0] *= 3.0
     X = np.array([[0.01, -0.02], [0.3, -0.5], [40.0, -60.0], [-80.0, 25.0]])
-    bt = forward_batch(net, X, with_d1=True)
-    assert forward_batch(net, X).d1 is None
+    orders = (0, 1, 2) if spec.twice_differentiable else (0, 1)
+    traces = [forward_batch(net, X, order=k) for k in orders]
+    assert traces[0].d1 is None and traces[0].d2 is None and traces[1].d2 is None
+    bt = traces[-1]
+    for tr in traces[1:]:
+        for a, b in zip(tr.z + tr.h, traces[0].z + traces[0].h):
+            np.testing.assert_array_equal(_bits(a), _bits(b))
     for l in range(net.depth - 1):
         z = bt.z[l]
         assert np.abs(z).max() > 30.0 and np.abs(z).min() < 1.0
-        np.testing.assert_array_equal(_bits(bt.d1[l]), _bits(d1(spec, z)))
+        for tr in traces[1:]:
+            np.testing.assert_array_equal(_bits(tr.d1[l]), _bits(d1(spec, z)))
         np.testing.assert_array_equal(_bits(bt.h[l + 1]), _bits(value(spec, z)))
+        if spec.twice_differentiable:
+            np.testing.assert_array_equal(_bits(bt.d2[l]), _bits(d2(spec, z)))
+    if not spec.twice_differentiable:
+        with pytest.raises(UnsupportedActivationError, match=spec.kind):
+            forward_batch(net, X, order=2)
     single = forward(net, X[2])
     for l in range(net.depth - 1):
         np.testing.assert_array_equal(_bits(single.d1[l][0]), _bits(d1(spec, single.z[l][0])))
