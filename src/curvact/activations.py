@@ -15,7 +15,9 @@ beta = 0, 1, bit for bit (multiplying by alpha = 1.0 is exact).
 
 One kernel per kind, _kernel(spec, x, order), returns sigma up to its
 order-th derivative; value, d1 and d2 are that kernel behind a finiteness
-check, and the network asks it for the order its caller needs.
+check, and the network asks it for the order its caller needs.  The
+family's closed forms exist once, in _family, which also takes alpha as
+an array so a network stack evaluates all its members in one call.
 
 Derivatives for beta = 1, 2 are closed forms in s = logistic(alpha*x),
 g = s * (1 - s) and m = 1 - 2s:
@@ -95,6 +97,16 @@ def rct_af(alpha: float, beta: int) -> ActivationSpec:
     return ActivationSpec("rct_af", alpha=float(alpha), beta=int(beta))
 
 
+@dataclass(frozen=True, eq=False)
+class FamilyStack:
+    """The hidden activations of a network stack: family members of one
+    beta side by side, alpha an (S, 1, 1) array with one entry per member."""
+
+    alpha: np.ndarray
+    beta: int
+    kind = "rct_af"
+
+
 def relu() -> ActivationSpec:
     return ActivationSpec("relu")
 
@@ -172,6 +184,39 @@ def d2(spec: ActivationSpec, x):
 _AS_FAMILY = {"softplus": rct_af(1.0, 0), "swish": rct_af(1.0, 1)}
 
 
+def _family(a, b: int, x: np.ndarray, order: int) -> list[np.ndarray]:
+    """[sigma, sigma', sigma''][:order + 1] of the family member (a, b) at x.
+
+    a is a float, or an array that broadcasts against x to evaluate
+    members of one beta side by side (alpha of shape (S, 1, 1) against an
+    (S, n, width) input); each element gets the bits its own float alpha
+    would give.
+    """
+    t = a * x
+    if b == 0:
+        out = [np.logaddexp(0.0, t) / a]
+        if order:
+            s = expit(t)
+            out.append(s)
+            if order == 2:
+                out.append(a * (s * expit(-t)))
+    elif b == 1 and order == 0:
+        out = [x * expit(t)]
+    else:
+        s, g, m = _sgm(t)
+        if b == 1:
+            out = [x * s, s + t * g]
+            if order == 2:
+                out.append(a * g * (2.0 + t * m))
+        else:
+            out = [(s + t * g) * x]
+            if order:
+                out.append(s + 3.0 * t * g + t * t * g * m)
+                if order == 2:
+                    out.append(a * g * (4.0 + 5.0 * t * m + t * t * (m * m - 2.0 * g)))
+    return out
+
+
 def _kernel(spec: ActivationSpec, x: np.ndarray, order: int) -> list[np.ndarray]:
     """[sigma, sigma', sigma''][:order + 1] at x, a float64 array already
     checked for finiteness.  Each kind computes its shared terms once, and
@@ -180,30 +225,8 @@ def _kernel(spec: ActivationSpec, x: np.ndarray, order: int) -> list[np.ndarray]
     spec = _AS_FAMILY.get(spec.kind, spec)
     k = spec.kind
     if k == "rct_af":
-        a, b = spec.alpha, spec.beta
-        t = a * x
-        if b == 0:
-            out = [np.logaddexp(0.0, t) / a]
-            if order:
-                s = expit(t)
-                out.append(s)
-                if order == 2:
-                    out.append(a * (s * expit(-t)))
-        elif b == 1 and order == 0:
-            out = [x * expit(t)]
-        else:
-            s, g, m = _sgm(t)
-            if b == 1:
-                out = [x * s, s + t * g]
-                if order == 2:
-                    out.append(a * g * (2.0 + t * m))
-            else:
-                out = [(s + t * g) * x]
-                if order:
-                    out.append(s + 3.0 * t * g + t * t * g * m)
-                    if order == 2:
-                        out.append(a * g * (4.0 + 5.0 * t * m + t * t * (m * m - 2.0 * g)))
-    elif k in ("relu", "leaky_relu"):
+        return _family(spec.alpha, spec.beta, x, order)
+    if k in ("relu", "leaky_relu"):
         if order == 2:
             raise UnsupportedActivationError(f"{k} has no pointwise second derivative")
         out = [np.maximum(x, 0.0) if k == "relu" else np.where(x > 0, x, spec.slope * x)]

@@ -12,7 +12,12 @@ projection and take precedence; if a clean input already lies outside
 them, the clamp can move its adversarial view farther than epsilon.  All
 randomness is driven by an explicit integer seed; batch evaluations
 derive per-sample seeds as seed XOR sample_index so results do not depend
-on evaluation order.
+on evaluation order.  The start depends only on the seed and the clean
+rows, so the members of a network stack attacked together share one
+random start: each member's iterate, shape (S, n, d) once the first step
+is taken, is bit for bit the one a solo attack on that member computes.
+pgd_batch, clean_accuracy and robust_accuracy take a stack wherever they
+take a Network; the accuracies then come back one per member.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Network, forward_batch, grad_input_batch
+from .network import Network, NetworkStack, forward_batch, grad_input_batch
 from .record import Record
 
 
@@ -113,9 +118,13 @@ def fgsm(net: Network, x, y, epsilon: float, input_bounds=None) -> np.ndarray:
 
 
 def pgd_batch(
-    net: Network, X, y, cfg: AttackConfig, rng_seed: int, on_step=None
+    net: Network | NetworkStack, X, y, cfg: AttackConfig, rng_seed: int, on_step=None
 ) -> np.ndarray:
-    """PGD over a batch of rows; row i uses seed rng_seed XOR i for its start."""
+    """PGD over a batch of rows; row i uses seed rng_seed XOR i for its start.
+
+    The clean rows X are shared by every member of a stack; the bounds and
+    the start are computed once, and the returned iterate has shape (S, n, d).
+    """
     X = _check_finite(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     lo, hi = _ball_bounds(X, cfg.epsilon)
@@ -141,14 +150,20 @@ def pgd(net: Network, x, y: float, cfg: AttackConfig, rng_seed: int, on_step=Non
     return out[0]
 
 
-def clean_accuracy(net: Network, X, y) -> float:
+def _rate(ok: np.ndarray):
+    """Share of True over the rows: a float, or one per stack member."""
+    out = np.mean(ok, axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
+def clean_accuracy(net: Network | NetworkStack, X, y):
     y = _check_labels(y)
     f = forward_batch(net, X).f
-    return float(np.mean(np.sign(f) == y))
+    return _rate(np.sign(f) == y)
 
 
-def robust_accuracy(net: Network, X, y, cfg: AttackConfig, rng_seed: int,
-                    on_step=None) -> float:
+def robust_accuracy(net: Network | NetworkStack, X, y, cfg: AttackConfig, rng_seed: int,
+                    on_step=None):
     """Accuracy against the worse (by loss) of each sample's clean and
     attacked views.
 
@@ -167,4 +182,4 @@ def robust_accuracy(net: Network, X, y, cfg: AttackConfig, rng_seed: int,
     f_adv = forward_batch(net, adv).f
     f_worst = np.where((f_adv - y) ** 2 >= (f_clean - y) ** 2, f_adv, f_clean)
     ok = (np.sign(f_clean) == y) & (np.sign(f_worst) == y)
-    return float(np.mean(ok))
+    return _rate(ok)

@@ -17,5 +17,17 @@ class TrainingDivergedError(CurvactError):
         super().__init__(message or f"training diverged at epoch {epoch}")
 
 
+class NonFiniteError(CurvactError, ValueError):
+    """Raised by a forward pass when a hidden pre-activation is not finite.
+
+    members flags whose pass went non-finite: one entry per member of a
+    network stack, a 0-d array for a single network.
+    """
+
+    def __init__(self, members):
+        self.members = members
+        super().__init__("activation input must be finite")
+
+
 class ResultsFormatError(CurvactError):
     """Raised when a results file is missing required columns or malformed."""

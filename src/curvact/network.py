@@ -16,6 +16,15 @@ of a larger batch may differ from the corresponding per-sample results
 in the last bit, because matrix-product accumulation order depends on
 the batch shape; repeated evaluation of the same batch is always
 bit-identical.
+
+A NetworkStack holds S networks of one shape side by side, weights of
+shape (S, out, in).  forward_batch, batch_deltas, grad_input_batch and
+grad_params_batch take a stack wherever they take a Network: inputs are
+shared, shape (n, in), or per member, shape (S, n, in), and results gain
+a leading member axis.  Each member's results equal the same call on
+that member alone bit for bit, because every product and reduction runs
+per member on operands laid out as in the single-network call.  A plain
+Network runs the same code on 2-D arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import activations as act
-from .activations import ActivationSpec
+from .activations import ActivationSpec, FamilyStack
+from .errors import NonFiniteError
 from .record import Record
 
 
@@ -76,6 +86,63 @@ class Network(Record):
         )
 
 
+@dataclass(eq=False)
+class NetworkStack:
+    """S networks of one shape whose hidden activations are family members
+    of one beta: weights[l] is (S, out, in), biases[l] is (S, 1, out) and
+    activation.alpha is (S, 1, 1).  Build one with stack_networks."""
+
+    widths: tuple[int, ...]
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
+    activation: FamilyStack
+
+    @property
+    def depth(self) -> int:
+        return len(self.widths) - 1
+
+    def __len__(self) -> int:
+        return len(self.activation.alpha)
+
+    def member(self, k: int) -> Network:
+        """Member k as a Network of its own."""
+        a = self.activation
+        return Network(self.widths, [W[k].copy() for W in self.weights],
+                       [b[k, 0].copy() for b in self.biases],
+                       act.rct_af(float(a.alpha[k, 0, 0]), a.beta))
+
+    def take(self, keep) -> "NetworkStack":
+        """A stack of the members picked by an index array or boolean mask."""
+        a = self.activation
+        return NetworkStack(self.widths, [W[keep] for W in self.weights],
+                            [b[keep] for b in self.biases], FamilyStack(a.alpha[keep], a.beta))
+
+    def copy(self) -> "NetworkStack":
+        return self.take(np.arange(len(self)))
+
+
+def stack_networks(nets) -> NetworkStack:
+    """One stack of networks that share their widths and whose activations
+    are rct_af members of one beta; member k is nets[k]."""
+    nets = list(nets)
+    if not nets:
+        raise ValueError("stack_networks needs at least one network")
+    first = nets[0]
+    for net in nets:
+        spec = net.activation
+        if net.widths != first.widths:
+            raise ValueError("stacked networks must share their widths")
+        if spec.kind != "rct_af" or spec.beta != first.activation.beta:
+            raise ValueError("stacked networks must use rct_af members of one beta")
+    alpha = np.array([net.activation.alpha for net in nets]).reshape(-1, 1, 1)
+    return NetworkStack(
+        first.widths,
+        [np.stack([net.weights[l] for net in nets]) for l in range(first.depth)],
+        [np.stack([net.biases[l][None, :] for net in nets]) for l in range(first.depth)],
+        FamilyStack(alpha, first.activation.beta),
+    )
+
+
 def save_network(net: Network, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(net.to_dict(), fh)
@@ -112,6 +179,7 @@ class BatchTrace:
     """Forward pass over a batch: z[l-1] and h[l-1] are layer-l arrays.
 
     h has one extra leading entry, h[0] = X; f collects the scalar outputs.
+    For a network stack every array but a shared X has a leading member axis.
     d1[l-1] and d2[l-1] are sigma'(z[l-1]) and sigma''(z[l-1]) per hidden
     layer from a pass run at derivative order 1 or 2; None below it.
     """
@@ -123,9 +191,10 @@ class BatchTrace:
     d2: list[np.ndarray] | None = None
 
 
-def _check_batch(net: Network, X) -> np.ndarray:
+def _check_batch(net: Network | NetworkStack, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != net.widths[0]:
+    # A stack also takes one batch per member, shape (S, batch, inputs).
+    if X.ndim not in (2, net.weights[0].ndim) or X.shape[-1] != net.widths[0]:
         raise ValueError(f"expected inputs of shape (batch, {net.widths[0]})")
     return X
 
@@ -137,11 +206,12 @@ def _as_row(x) -> np.ndarray:
     return x[None, :]
 
 
-def forward_batch(net: Network, X, *, order: int = 0) -> BatchTrace:
+def forward_batch(net: Network | NetworkStack, X, *, order: int = 0) -> BatchTrace:
     """Forward pass over the rows of X.
 
     Every hidden pre-activation is checked for finiteness once, here, and
-    raises ValueError if it is not.  order is the highest derivative of
+    raises NonFiniteError (a ValueError) naming the stack members whose
+    pass went non-finite if it is not.  order is the highest derivative of
     sigma the trace keeps for each hidden layer, taken from the same
     activation evaluation as sigma(z): 0 for forward-only callers, 1 adds
     sigma' for a backward pass, 2 adds sigma'' for the exact Hessian.
@@ -153,17 +223,19 @@ def forward_batch(net: Network, X, *, order: int = 0) -> BatchTrace:
     z_list, h_list, terms = [], [X], []
     a = X
     for l in range(L):
-        z = a @ net.weights[l].T + net.biases[l]
+        z = a @ net.weights[l].mT + net.biases[l]
         z_list.append(z)
         if l < L - 1:
-            act._check_input(z)
+            finite = np.isfinite(z)
+            if not finite.all():
+                raise NonFiniteError(~finite.all(axis=(-2, -1)))
             t = act._kernel(net.activation, z, order)
             a = t[0]
             h_list.append(a)
             terms.append(t)
     d1 = [t[1] for t in terms] if order else None
     d2 = [t[2] for t in terms] if order == 2 else None
-    return BatchTrace(z_list, h_list, z_list[-1][:, 0], d1, d2)
+    return BatchTrace(z_list, h_list, z_list[-1][..., 0], d1, d2)
 
 
 def forward(net: Network, x) -> BatchTrace:
@@ -172,10 +244,10 @@ def forward(net: Network, x) -> BatchTrace:
     return forward_batch(net, _as_row(x), order=1)
 
 
-def batch_deltas(net: Network, trace: BatchTrace) -> list[np.ndarray]:
+def batch_deltas(net: Network | NetworkStack, trace: BatchTrace) -> list[np.ndarray]:
     """delta^(l) per layer from a trace made at order 1 or 2."""
     L = net.depth
-    n = trace.f.shape[0]
+    n = trace.f.shape[-1]
     delta = [None] * L
     delta[L - 1] = np.ones((n, 1))
     for l in range(L - 2, -1, -1):
@@ -191,24 +263,28 @@ def loss(net: Network, x, y: float) -> float:
     return 0.5 * diff * diff
 
 
-def mean_loss(net: Network, X, y) -> float:
+def mean_loss(net: Network | NetworkStack, X, y):
+    """Mean squared loss over the rows: a float, or one per stack member."""
     f = forward_batch(net, X).f
     diff = f - np.asarray(y, dtype=np.float64)
-    return float(0.5 * np.mean(diff * diff))
+    out = 0.5 * np.mean(diff * diff, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
-def grad_params_batch(net: Network, X, y) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (dW, db) gradients of the mean squared loss over the batch."""
+def grad_params_batch(net: Network | NetworkStack, X, y) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (dW, db) gradients of the mean squared loss over the batch,
+    shaped like the layer's weights and biases."""
     X = _check_batch(net, X)
     y = np.asarray(y, dtype=np.float64)
     bt = forward_batch(net, X, order=1)
     delta = batch_deltas(net, bt)
-    resid = (bt.f - y)[:, None]
-    n = X.shape[0]
+    resid = (bt.f - y)[..., None]
+    n = X.shape[-2]
     grads = []
     for l in range(net.depth):
         gscale = resid * delta[l]
-        grads.append((gscale.T @ bt.h[l] / n, gscale.mean(axis=0)))
+        grads.append((gscale.mT @ bt.h[l] / n,
+                      gscale.mean(axis=-2).reshape(net.biases[l].shape)))
     return grads
 
 
@@ -219,13 +295,13 @@ def grad_params(net: Network, x, y: float) -> np.ndarray:
     return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in per_layer])
 
 
-def grad_input_batch(net: Network, X, y) -> np.ndarray:
+def grad_input_batch(net: Network | NetworkStack, X, y) -> np.ndarray:
     """Gradient of each per-sample loss with respect to its input row."""
     X = _check_batch(net, X)
     y = np.asarray(y, dtype=np.float64)
     bt = forward_batch(net, X, order=1)
     delta = batch_deltas(net, bt)
-    return ((bt.f - y)[:, None] * delta[0]) @ net.weights[0]
+    return ((bt.f - y)[..., None] * delta[0]) @ net.weights[0]
 
 
 def grad_input(net: Network, x, y: float) -> np.ndarray:

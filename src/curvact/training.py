@@ -5,11 +5,16 @@ A sweep cell is one (beta, curvature target, seed) triple.  Each cell
 trains one network with PGD adversarial batches (reporting clean and
 robust test accuracy) and one standard twin from the same initialization
 (reporting its clean test accuracy and the normalized Hessian-diagonal
-norm over the training split at the end of training).  Results stream to
-CSV as cells finish, keyed by (beta, curvature, seed) so an interrupted
+norm over the training split at the end of training).
+
+The cells that share beta and seed differ only in alpha, so the sweep
+runs each such group as one NetworkStack: one minibatch order, one set of
+PGD starts and ball bounds, and every matrix product run per member, so
+each row is bit for bit the row of its cell run alone.  Results stream to
+CSV as groups finish, keyed by (beta, curvature, seed) so an interrupted
 sweep resumes without recomputing finished cells.  A cell whose training
-produces non-finite values is recorded with status "diverged" rather than
-aborting the sweep.
+produces non-finite values is recorded with status "diverged", and its
+group trains on without it, rather than aborting the sweep.
 """
 
 from __future__ import annotations
@@ -19,16 +24,23 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .activations import alpha_for_curvature, rct_af
 from .attacks import AttackConfig, clean_accuracy, pgd_batch, robust_accuracy
 from .data import Dataset, GeneratorSpec, make_dataset, two_moons
-from .errors import ResultsFormatError, TrainingDivergedError
+from .errors import NonFiniteError, ResultsFormatError, TrainingDivergedError
 from .hessian import dataset_diag_norm
-from .network import Network, grad_params_batch, init_network, mean_loss
+from .network import (
+    Network,
+    NetworkStack,
+    grad_params_batch,
+    init_network,
+    mean_loss,
+    stack_networks,
+)
 from .record import Record
 
 TRAIN_MODES = ("standard", "pgd_adversarial")
@@ -88,11 +100,18 @@ class TrainConfig(Record):
 @dataclass
 class TrainingHistory:
     """Per-epoch clean train loss, plus clean and robust test accuracy when
-    training was given an eval attack (else both stay empty)."""
+    training was given an eval attack (else both stay empty).
 
-    train_loss: list[float]
-    clean_test_acc: list[float]
-    robust_test_acc: list[float]
+    For a network stack each entry is an array with one value per member
+    of the stack passed in, not finite from the epoch the member diverged
+    in, and diverged maps each dropped member to that epoch.  The lists
+    stop early if every member diverges.
+    """
+
+    train_loss: list
+    clean_test_acc: list
+    robust_test_acc: list
+    diverged: dict[int, int] = field(default_factory=dict)
 
 
 # Parameters past this magnitude overflow float64 within a step or two;
@@ -100,29 +119,36 @@ class TrainingHistory:
 _PARAM_CEILING = 1e100
 
 
-def _params_wild(net: Network) -> bool:
+def _params_wild(net: Network | NetworkStack) -> np.ndarray:
+    """Per member: True once a parameter is NaN, infinite or past the ceiling."""
+    axes = (-2, -1) if isinstance(net, NetworkStack) else None
+    tame = True
     for arr in (*net.weights, *net.biases):
-        # False for NaN as well, so one reduction catches NaN, inf and
+        # False for NaN as well, so one comparison catches NaN, inf and
         # magnitudes past the ceiling.
-        if not (np.abs(arr).max() <= _PARAM_CEILING):
-            return True
-    return False
+        tame = tame & (np.abs(arr).max(axis=axes) <= _PARAM_CEILING)
+    return ~tame
 
 
 def train_network(
-    net: Network,
+    net: Network | NetworkStack,
     dataset: Dataset,
     cfg: TrainConfig,
     eval_attack: AttackConfig | None = None,
-) -> tuple[Network, TrainingHistory]:
-    """Train a copy of net; the input network is never mutated.
+) -> tuple[Network | NetworkStack, TrainingHistory]:
+    """Train a copy of net, a network or a stack; the input is never mutated.
 
     In pgd_adversarial mode every batch is replaced by PGD perturbations
     generated against the current parameters before the gradient step.
-    Divergence is detected by value checks (non-finite parameters after a
-    step, or non-finite epoch loss) and raised as TrainingDivergedError
-    carrying the epoch; overflow warnings in the diverging batch itself
-    are suppressed so the error is the single signal.
+    The training split is checked for finiteness once, here (ValueError);
+    after that, non-finite values mean divergence: a hidden pre-activation
+    that is not finite, parameters that are NaN, infinite or past
+    _PARAM_CEILING after a step, or a non-finite epoch loss.  A network
+    raises TrainingDivergedError carrying the epoch.  A stack drops the
+    diverged members, records them in history.diverged and trains the rest
+    on, bit for bit as each would train alone; it returns the surviving
+    members in their original order.  Overflow warnings in a diverging
+    batch are suppressed so the value checks are the single signal.
 
     The history records the clean train loss after every epoch.  The test
     split is evaluated only when eval_attack is given: clean accuracy and
@@ -133,50 +159,78 @@ def train_network(
     x_te, y_te = dataset.x_test, dataset.y_test
     if net.widths[0] != x_tr.shape[1]:
         raise ValueError("network input width does not match the dataset")
+    if not (np.isfinite(x_tr).all() and np.isfinite(y_tr).all()):
+        raise ValueError("training data must be finite")
+    stacked = isinstance(net, NetworkStack)
+    alive = np.arange(len(net)) if stacked else None  # positions of the members still training
     work = net.copy()
     vel = [(np.zeros_like(W), np.zeros_like(b))
            for W, b in zip(work.weights, work.biases)]
     rng = np.random.default_rng(cfg.seed)
     n = x_tr.shape[0]
     history = TrainingHistory([], [], [])
+
+    def drop(bad, epoch):
+        nonlocal work, vel, alive
+        if not bad.any():
+            return
+        if not stacked:
+            raise TrainingDivergedError(epoch)
+        history.diverged.update((int(k), epoch) for k in alive[bad])
+        keep = ~bad
+        work = work.take(keep)
+        vel = [(v_w[keep], v_b[keep]) for v_w, v_b in vel]
+        alive = alive[keep]
+
+    def attempt(epoch, fn):
+        """fn(work), dropping the members whose forward pass goes non-finite."""
+        while True:
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return fn(work)
+            except NonFiniteError as exc:
+                drop(exc.members, epoch)
+
+    def per_member(values):
+        if not stacked:
+            return values
+        out = np.full(len(net), np.nan)
+        out[alive] = values
+        return out
+
+    def batch_grads(w, xb, yb, seed):
+        if cfg.mode == "pgd_adversarial":
+            xb = pgd_batch(w, xb, yb, cfg.attack, rng_seed=seed)
+        return grad_params_batch(w, xb, yb)
+
     for epoch in range(cfg.epochs):
+        if stacked and not len(alive):
+            break
         perm = rng.permutation(n)
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[start:start + cfg.batch_size]
-            xb, yb = x_tr[idx], y_tr[idx]
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    if cfg.mode == "pgd_adversarial":
-                        xb = pgd_batch(work, xb, yb, cfg.attack,
-                                       rng_seed=_mix(cfg.seed, epoch, bi))
-                    grads = grad_params_batch(work, xb, yb)
-                    for l, (g_w, g_b) in enumerate(grads):
-                        v_w, v_b = vel[l]
-                        v_w *= cfg.momentum
-                        v_w += g_w
-                        v_b *= cfg.momentum
-                        v_b += g_b
-                        work.weights[l] -= cfg.learning_rate * v_w
-                        work.biases[l] -= cfg.learning_rate * v_b
-            except ValueError:
-                # Exploding weights can overflow a forward pass before any
-                # parameter itself turns non-finite; tell the two apart.
-                if _params_wild(work):
-                    raise TrainingDivergedError(epoch) from None
-                raise
-            if _params_wild(work):
-                raise TrainingDivergedError(epoch)
-        with np.errstate(over="ignore", invalid="ignore"):
-            epoch_loss = mean_loss(work, x_tr, y_tr)
-            if not math.isfinite(epoch_loss):
-                raise TrainingDivergedError(epoch)
-            history.train_loss.append(epoch_loss)
-            if eval_attack is not None:
-                history.clean_test_acc.append(clean_accuracy(work, x_te, y_te))
-                history.robust_test_acc.append(
-                    robust_accuracy(work, x_te, y_te, eval_attack,
-                                    rng_seed=_mix(cfg.seed, 0xE7A1, epoch))
-                )
+            xb, yb, seed = x_tr[idx], y_tr[idx], _mix(cfg.seed, epoch, bi)
+            grads = attempt(epoch, lambda w: batch_grads(w, xb, yb, seed))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for l, (g_w, g_b) in enumerate(grads):
+                    v_w, v_b = vel[l]
+                    v_w *= cfg.momentum
+                    v_w += g_w
+                    v_b *= cfg.momentum
+                    v_b += g_b
+                    work.weights[l] -= cfg.learning_rate * v_w
+                    work.biases[l] -= cfg.learning_rate * v_b
+            drop(_params_wild(work), epoch)
+        epoch_loss = attempt(epoch, lambda w: mean_loss(w, x_tr, y_tr))
+        history.train_loss.append(per_member(epoch_loss))
+        drop(~np.isfinite(epoch_loss), epoch)
+        if eval_attack is not None:
+            clean, robust = attempt(epoch, lambda w: (
+                clean_accuracy(w, x_te, y_te),
+                robust_accuracy(w, x_te, y_te, eval_attack,
+                                rng_seed=_mix(cfg.seed, 0xE7A1, epoch))))
+            history.clean_test_acc.append(per_member(clean))
+            history.robust_test_acc.append(per_member(robust))
     return work, history
 
 
@@ -245,7 +299,10 @@ def default_sweep_config() -> SweepConfig:
 @dataclass(frozen=True)
 class SweepResult:
     """One sweep cell: adversarial-run accuracies plus the standard twin's
-    diagonal norm and clean accuracy.  Metrics are NaN when status is not ok."""
+    diagonal norm and clean accuracy.  Metrics are NaN when status is not
+    ok, whichever twin diverged.  wall_time_s is the wall time of the
+    cell's (beta, seed) group divided by the cells the group ran, so the
+    column still sums to the sweep's compute time."""
 
     beta: int
     curvature: float
@@ -263,37 +320,63 @@ def _cell_key(beta: int, curvature: float, seed: int) -> tuple[int, float, int]:
     return (int(beta), float(curvature), int(seed))
 
 
-def run_cell(config: SweepConfig, dataset: Dataset, beta: int, curvature: float,
-             seed: int) -> SweepResult:
-    """Train the adversarial network and its standard twin for one cell.
+def run_cells(config: SweepConfig, dataset: Dataset, beta: int, curvatures,
+              seed: int) -> list[SweepResult]:
+    """Train the adversarial network and its standard twin for the cells
+    (beta, c, seed), c in curvatures, as one network stack; one row per c.
+
+    The cells of a (beta, seed) group differ only in alpha.  They share the
+    initial weights, the minibatch order, the PGD start rows and the ball
+    bounds, so they train side by side, and every row equals the row of its
+    cell run on its own in every field but wall_time_s, which is the
+    group's wall time divided by the number of cells.  A cell whose
+    adversarial network or standard twin diverges gets status "diverged"
+    and NaN metrics; the other cells of its group train on unchanged.
 
     Cells initialize with the xavier scheme: its smaller first-layer gains
     keep low-curvature activations in their gentle central region at the
     start of training, which is where the capacity penalty of a small
     second-derivative bound actually shows up at this problem scale.
     """
-    alpha = alpha_for_curvature(beta, curvature)
     start = time.perf_counter()
-    base = init_network(config.widths, rct_af(alpha, beta), seed=_mix(seed, beta),
-                        scheme="xavier")
-    clean_acc = robust_acc = diag_norm = std_clean = float("nan")
-    status = "ok"
-    try:
-        adv_cfg = replace(config.train, mode="pgd_adversarial",
-                          attack=config.train.attack, seed=seed)
-        net_adv, _ = train_network(base, dataset, adv_cfg)
-        clean_acc = clean_accuracy(net_adv, dataset.x_test, dataset.y_test)
-        robust_acc = robust_accuracy(net_adv, dataset.x_test, dataset.y_test,
-                                     config.eval_attack, rng_seed=seed)
-        std_cfg = replace(config.train, mode="standard", attack=None, seed=seed)
-        net_std, _ = train_network(base, dataset, std_cfg)
-        std_clean = clean_accuracy(net_std, dataset.x_test, dataset.y_test)
-        diag_norm = dataset_diag_norm(net_std, dataset.x_train, dataset.y_train)
-    except TrainingDivergedError:
-        status = "diverged"
-    wall = time.perf_counter() - start
-    return SweepResult(beta, float(curvature), alpha, seed, clean_acc, robust_acc,
-                       diag_norm, wall, status, std_clean)
+    alphas = [alpha_for_curvature(beta, c) for c in curvatures]
+    stack = stack_networks(init_network(config.widths, rct_af(a, beta),
+                                        seed=_mix(seed, beta), scheme="xavier")
+                           for a in alphas)
+    x_te, y_te = dataset.x_test, dataset.y_test
+
+    def survivors(keys, history):
+        return [k for i, k in enumerate(keys) if i not in history.diverged]
+
+    adv_cfg = replace(config.train, mode="pgd_adversarial",
+                      attack=config.train.attack, seed=seed)
+    net_adv, hist_adv = train_network(stack, dataset, adv_cfg)
+    adv_keys = survivors(range(len(alphas)), hist_adv)
+    clean = dict(zip(adv_keys, clean_accuracy(net_adv, x_te, y_te)))
+    robust = dict(zip(adv_keys, robust_accuracy(net_adv, x_te, y_te, config.eval_attack,
+                                                rng_seed=seed)))
+    std_cfg = replace(config.train, mode="standard", attack=None, seed=seed)
+    net_std, hist_std = train_network(stack.take(adv_keys), dataset, std_cfg)
+    ok_keys = survivors(adv_keys, hist_std)
+    std_clean = dict(zip(ok_keys, clean_accuracy(net_std, x_te, y_te)))
+    diag = {k: dataset_diag_norm(net_std.member(i), dataset.x_train, dataset.y_train)
+            for i, k in enumerate(ok_keys)}
+    wall = (time.perf_counter() - start) / len(alphas)
+    rows = []
+    for k, (curvature, alpha) in enumerate(zip(curvatures, alphas)):
+        if k in diag:
+            metrics = (float(clean[k]), float(robust[k]), diag[k], float(std_clean[k]))
+        else:
+            metrics = (float("nan"),) * 4
+        rows.append(SweepResult(beta, float(curvature), alpha, seed, *metrics[:3], wall,
+                                "ok" if k in diag else "diverged", metrics[3]))
+    return rows
+
+
+def run_cell(config: SweepConfig, dataset: Dataset, beta: int, curvature: float,
+             seed: int) -> SweepResult:
+    """One sweep cell: the one-member view of run_cells."""
+    return run_cells(config, dataset, beta, (curvature,), seed)[0]
 
 
 def _format_cell(v: float) -> str:
@@ -352,10 +435,6 @@ def read_sweep_results(path) -> list[SweepResult]:
     return out
 
 
-def _run_cell_star(args):
-    return run_cell(*args)
-
-
 def run_sweep(
     config: SweepConfig,
     results_path=None,
@@ -365,10 +444,13 @@ def run_sweep(
 ) -> list[SweepResult]:
     """Run every (beta, curvature, seed) cell exactly once.
 
-    With results_path set, rows are appended (and flushed) as cells finish;
-    existing rows are honoured when resume is true, so a partial file picks
-    up where it left off.  jobs > 1 fans cells out to worker processes; the
-    returned list is always in canonical grid order.
+    The cells still to run are grouped by (beta, seed) and each group runs
+    as one stack (run_cells).  With results_path set, rows are appended (and
+    flushed) as groups finish; existing rows are honoured when resume is
+    true, so a partial file picks up where it left off, and an interrupted
+    group recomputes only its unfinished cells.  jobs > 1 fans groups out
+    to worker processes; the returned list is always in canonical grid
+    order, whatever the order of rows in the file.
     """
     dataset = make_dataset(config.dataset, config.dataset_n, config.dataset_seed)
     cells = [(b, c, s) for b in config.betas for c in config.curvature_targets
@@ -399,20 +481,25 @@ def run_sweep(
         if progress is not None:
             progress("done", result)
 
-    todo = [c for c in cells if _cell_key(*c) not in done]
+    groups: dict[tuple[int, int], list[float]] = {}
+    for b, c, s in cells:
+        if _cell_key(b, c, s) not in done:
+            groups.setdefault((b, s), []).append(c)
     for key in done:
         if progress is not None:
             progress("skipped", key)
     try:
-        if jobs <= 1 or len(todo) <= 1:
-            for b, c, s in todo:
-                record(run_cell(config, dataset, b, c, s))
+        if jobs <= 1 or len(groups) <= 1:
+            for (b, s), curvatures in groups.items():
+                for result in run_cells(config, dataset, b, curvatures, s):
+                    record(result)
         else:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(_run_cell_star, (config, dataset, b, c, s))
-                           for b, c, s in todo]
+                futures = [pool.submit(run_cells, config, dataset, b, curvatures, s)
+                           for (b, s), curvatures in groups.items()]
                 for fut in as_completed(futures):
-                    record(fut.result())
+                    for result in fut.result():
+                        record(result)
     finally:
         if fh is not None:
             fh.close()

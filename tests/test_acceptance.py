@@ -10,8 +10,8 @@ curvature (09) fails at this problem scale; its message says why, and
 check 12 measures the same expressivity limit through the fit to the
 training data.
 
-The sweep-based criteria share one desk-scale sweep (about three
-minutes of single-threaded compute, 150 cells).  Its rows are cached in
+The sweep-based criteria share one desk-scale sweep (under a minute of
+single-threaded compute, 150 cells).  Its rows are cached in
 tests/_sweep_cache/ through the resume mechanism, so repeat runs reuse
 them; delete that directory to force a fresh sweep.
 """

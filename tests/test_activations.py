@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from curvact import activations as act
 from curvact.activations import (
     ActivationSpec,
     SubgradientWarning,
@@ -289,6 +290,21 @@ def test_softplus_identity_with_beta0():
     """rct_af(1, 0) is the softplus baseline, bit for bit."""
     for fn in (value, d1, d2):
         _assert_same_bits(fn(rct_af(1.0, 0), _IDENTITY_XS), fn(softplus(), _IDENTITY_XS))
+
+
+@pytest.mark.parametrize("beta", [0, 1, 2])
+def test_family_evaluates_members_side_by_side(beta):
+    """An (S, 1, 1) alpha gives each member the bits of its own float alpha,
+    as a network stack's forward pass relies on."""
+    alphas = (0.5, 1.0, 14.0, 200.0)
+    xs = np.stack([_IDENTITY_XS, -_IDENTITY_XS, 3.0 * _IDENTITY_XS, _IDENTITY_XS / 7.0])
+    stacked = act.FamilyStack(np.array(alphas).reshape(-1, 1, 1), beta)
+    for order in (0, 1, 2):
+        got = act._kernel(stacked, xs[:, :, None], order)
+        assert len(got) == order + 1
+        for k, a in enumerate(alphas):
+            for fn, g in zip((value, d1, d2), got):
+                _assert_same_bits(g[k, :, 0], fn(rct_af(a, beta), xs[k]))
 
 
 def test_json_round_trip():

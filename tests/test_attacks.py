@@ -19,7 +19,7 @@ from curvact.attacks import (
     robust_accuracy,
 )
 from curvact.data import make_dataset, two_moons
-from curvact.network import forward_batch, init_network, loss
+from curvact.network import forward_batch, init_network, loss, stack_networks
 from curvact.training import TrainConfig, train_network
 
 
@@ -272,3 +272,23 @@ class TestRobustAccuracy:
         a = robust_accuracy(net, X, y, TestPgd.CFG, rng_seed=5)
         b = robust_accuracy(net, X, y, TestPgd.CFG, rng_seed=5)
         assert a == b
+
+
+@pytest.mark.parametrize("bounds", [None, (-1.0, 1.5)])
+def test_stack_attacks_equal_member_attacks_bitwise(bounds):
+    """One shared start and one set of ball bounds serve every member; each
+    member's iterate and accuracies are those of its own attack."""
+    X, y = _moon_batch(n=40)
+    nets = [init_network((2, 8, 8, 1), rct_af(a, 2), seed=k)
+            for k, a in enumerate((0.5, 14.0, 100.0))]
+    stack = stack_networks(nets)
+    cfg = AttackConfig(0.25, 0.0625, 5, True, input_bounds=bounds)
+    steps = []
+    adv = pgd_batch(stack, X, y, cfg, rng_seed=11, on_step=lambda s, cur: steps.append(cur))
+    assert adv.shape == (3, 40, 2) and len(steps) == cfg.steps
+    clean = clean_accuracy(stack, X, y)
+    robust = robust_accuracy(stack, X, y, cfg, rng_seed=11)
+    for k, net in enumerate(nets):
+        np.testing.assert_array_equal(adv[k], pgd_batch(net, X, y, cfg, rng_seed=11))
+        assert clean[k] == clean_accuracy(net, X, y)
+        assert robust[k] == robust_accuracy(net, X, y, cfg, rng_seed=11)

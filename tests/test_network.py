@@ -10,7 +10,7 @@ import pytest
 from curvact import activations as act
 from curvact.activations import SubgradientWarning, d1, d2, rct_af, value
 from curvact.attacks import AttackConfig, clean_accuracy, fgsm, pgd_batch
-from curvact.errors import UnsupportedActivationError
+from curvact.errors import NonFiniteError, UnsupportedActivationError
 from curvact.hessian import dataset_diag_norm, hessian_diag_exact, hessian_diag_fd
 from curvact.network import (
     Network,
@@ -29,6 +29,7 @@ from curvact.network import (
     param_layout,
     replace_params,
     save_network,
+    stack_networks,
 )
 
 from helpers import random_sample
@@ -399,3 +400,91 @@ def test_forward_only_calls_do_not_warn_at_a_kink(spec):
         hessian_diag_fd(net, X[0], 1.0)
     with pytest.warns(SubgradientWarning):
         grad_input_batch(net, X, y)
+
+
+# ----- network stacks -----
+
+_STACK_ALPHAS = (0.5, 14.0, 100.0)
+
+
+def _stack_nets(widths, beta, seed=0):
+    """Members with their own weights, so a member mix-up shows."""
+    return [init_network(widths, rct_af(a, beta), seed=seed + k)
+            for k, a in enumerate(_STACK_ALPHAS)]
+
+
+@pytest.mark.parametrize("beta", [0, 1, 2])
+@pytest.mark.parametrize("widths", [(2, 1), (2, 5, 1), (2, 16, 16, 1), (3, 4, 6, 5, 1)])
+@pytest.mark.parametrize("n", [1, 16, 97])
+def test_stack_calls_equal_member_calls_bitwise(beta, widths, n):
+    rng = np.random.default_rng([beta, len(widths), n])
+    nets = _stack_nets(widths, beta)
+    stack = stack_networks(nets)
+    y = rng.choice([-1.0, 1.0], size=n)
+    shared = rng.normal(size=(n, widths[0]))
+    per_member = rng.normal(size=(len(nets), n, widths[0]))
+    for X in (shared, per_member):
+        bt = forward_batch(stack, X, order=2)
+        deltas = batch_deltas(stack, bt)
+        g_in = grad_input_batch(stack, X, y)
+        g_par = grad_params_batch(stack, X, y)
+        losses = mean_loss(stack, X, y)
+        for k, net in enumerate(nets):
+            Xk = X if X.ndim == 2 else X[k]
+            ref = forward_batch(net, Xk, order=2)
+            np.testing.assert_array_equal(_bits(bt.f[k]), _bits(ref.f))
+            for l in range(net.depth):
+                np.testing.assert_array_equal(_bits(bt.z[l][k]), _bits(ref.z[l]))
+                # The output delta is all ones and shared by the members.
+                got = np.broadcast_to(deltas[l], bt.z[l].shape)[k]
+                np.testing.assert_array_equal(_bits(got), _bits(batch_deltas(net, ref)[l]))
+            for l in range(net.depth - 1):
+                for got, want in ((bt.h[l + 1], ref.h[l + 1]), (bt.d1[l], ref.d1[l]),
+                                  (bt.d2[l], ref.d2[l])):
+                    np.testing.assert_array_equal(_bits(got[k]), _bits(want))
+            np.testing.assert_array_equal(_bits(g_in[k]), _bits(grad_input_batch(net, Xk, y)))
+            for (dW, db), (rW, rb) in zip(g_par, grad_params_batch(net, Xk, y)):
+                np.testing.assert_array_equal(_bits(dW[k]), _bits(rW))
+                np.testing.assert_array_equal(_bits(db[k, 0]), _bits(rb))
+            assert losses[k] == mean_loss(net, Xk, y)
+
+
+def test_stack_members_round_trip():
+    nets = _stack_nets((2, 5, 3, 1), 2)
+    stack = stack_networks(nets)
+    assert len(stack) == 3 and stack.depth == 3 and stack.widths == (2, 5, 3, 1)
+    picked = stack.take([2, 0])
+    for k, ref in ((0, nets[2]), (1, nets[0])):
+        member = picked.member(k)
+        assert member.activation == ref.activation
+        np.testing.assert_array_equal(flat_params(member), flat_params(ref))
+    copy = stack.copy()
+    copy.weights[0][0] += 1.0
+    np.testing.assert_array_equal(flat_params(stack.member(0)), flat_params(nets[0]))
+
+
+def test_stack_networks_rejects_what_cannot_share_one_pass():
+    with pytest.raises(ValueError, match="at least one"):
+        stack_networks([])
+    with pytest.raises(ValueError, match="widths"):
+        stack_networks([init_network((2, 4, 1), rct_af(1.0, 1), seed=0),
+                        init_network((2, 5, 1), rct_af(1.0, 1), seed=0)])
+    with pytest.raises(ValueError, match="beta"):
+        stack_networks([init_network((2, 4, 1), rct_af(1.0, 1), seed=0),
+                        init_network((2, 4, 1), rct_af(1.0, 2), seed=0)])
+    with pytest.raises(ValueError, match="beta"):
+        stack_networks([init_network((2, 4, 1), act.gelu(), seed=0)])
+
+
+def test_non_finite_forward_names_the_stack_members():
+    nets = [init_network((2, 4, 3, 1), rct_af(7.0, 1), seed=k) for k in range(3)]
+    nets[1].weights[0][:] = 1e200
+    nets[1].weights[1][:] = 1e200
+    stack = stack_networks(nets)
+    X = np.ones((2, 2))
+    with pytest.raises(NonFiniteError, match="finite") as exc, np.errstate(over="ignore"):
+        forward_batch(stack, X)
+    assert exc.value.members.tolist() == [False, True, False]
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+        forward_batch(nets[1], X)
+    forward_batch(stack.take([0, 2]), X)

@@ -17,15 +17,17 @@ from curvact.activations import alpha_for_curvature, rct_af
 from curvact.attacks import AttackConfig, clean_accuracy
 from curvact.data import gaussian_blobs, make_dataset, two_moons
 from curvact.errors import ResultsFormatError, TrainingDivergedError
-from curvact.network import flat_params, init_network
+from curvact.network import flat_params, init_network, stack_networks
 import curvact.training
 from curvact.training import (
     DEFAULT_EVAL_ATTACK,
+    TRAIN_MODES,
     SweepConfig,
     SweepResult,
     TrainConfig,
     default_sweep_config,
     read_sweep_results,
+    run_cell,
     run_sweep,
     train_network,
 )
@@ -54,6 +56,12 @@ def _tiny_sweep(**overrides):
     )
     fields.update(overrides)
     return dataclasses.replace(cfg, **fields)
+
+
+def _text(result):
+    """A sweep row as its CSV fields without the wall time; NaN metrics
+    compare equal as empty fields."""
+    return curvact.training._result_row(dataclasses.replace(result, wall_time_s=0.0))
 
 
 class TestTrainConfig:
@@ -188,6 +196,68 @@ class TestTrainNetwork:
         net = init_network((3, 5, 1), rct_af(7.0, 1), seed=0)
         with pytest.raises(ValueError, match="width"):
             train_network(net, ds, _quick_cfg())
+
+
+class TestTrainStack:
+    """A stack trains each member bit for bit as that member trains alone."""
+
+    ALPHAS = (0.5, 14.0, 100.0)
+
+    def _nets(self, widths=(2, 6, 5, 1)):
+        return [init_network(widths, rct_af(a, 2), seed=7) for a in self.ALPHAS]
+
+    @pytest.mark.parametrize("mode", TRAIN_MODES)
+    def test_members_equal_solo_training(self, mode):
+        ds = _moons()
+        nets = self._nets()
+        attack = AttackConfig(0.25, 0.0625, 4, True) if mode != "standard" else None
+        cfg = _quick_cfg(mode=mode, attack=attack)
+        trained, history = train_network(stack_networks(nets), ds, cfg,
+                                         eval_attack=DEFAULT_EVAL_ATTACK)
+        assert len(trained) == 3 and history.diverged == {}
+        for k, net in enumerate(nets):
+            solo, solo_hist = train_network(net, ds, cfg, eval_attack=DEFAULT_EVAL_ATTACK)
+            np.testing.assert_array_equal(flat_params(trained.member(k)), flat_params(solo))
+            for got, want in ((history.train_loss, solo_hist.train_loss),
+                              (history.clean_test_acc, solo_hist.clean_test_acc),
+                              (history.robust_test_acc, solo_hist.robust_test_acc)):
+                assert [e[k] for e in got] == want
+
+    def test_diverged_members_are_dropped_and_the_rest_train_on(self):
+        """Member 0's second hidden layer overflows on the first batch: it is
+        dropped at epoch 0, as alone it raises there, and the others train
+        on unchanged."""
+        ds = _moons()
+        nets = self._nets((2, 4, 3, 1))
+        nets[0].weights[0][:] = 1e200
+        nets[0].weights[1][:] = 1e200
+        cfg = _quick_cfg(mode="pgd_adversarial", attack=AttackConfig(0.25, 0.0625, 4, True))
+        trained, history = train_network(stack_networks(nets), ds, cfg)
+        assert history.diverged == {0: 0}
+        with pytest.raises(TrainingDivergedError) as exc:
+            train_network(nets[0], ds, cfg)
+        assert exc.value.epoch == 0
+        assert len(trained) == 2
+        for i, net in enumerate(nets[1:]):
+            solo, solo_hist = train_network(net, ds, cfg)
+            np.testing.assert_array_equal(flat_params(trained.member(i)), flat_params(solo))
+            assert [e[i + 1] for e in history.train_loss] == solo_hist.train_loss
+        assert all(math.isnan(e[0]) for e in history.train_loss)
+
+    def test_a_stack_whose_members_all_diverge_comes_back_empty(self):
+        ds = _moons()
+        cfg = _quick_cfg(learning_rate=1e4, epochs=30)
+        trained, history = train_network(stack_networks(self._nets()), ds, cfg)
+        assert len(trained) == 0 and sorted(history.diverged) == [0, 1, 2]
+
+    def test_rejects_non_finite_training_data(self):
+        ds = _moons()
+        inputs = ds.inputs.copy()
+        inputs[ds.train_idx[3], 1] = np.nan
+        bad = dataclasses.replace(ds, inputs=inputs)
+        for net in (self._nets()[0], stack_networks(self._nets())):
+            with pytest.raises(ValueError, match="finite"):
+                train_network(net, bad, _quick_cfg())
 
 
 class TestSweepConfig:
@@ -389,6 +459,71 @@ class TestRunSweep:
         loaded = read_sweep_results(path)
         assert loaded[0].status == "diverged"
         assert math.isnan(loaded[0].robust_acc)
+
+    def test_forward_overflow_is_recorded_as_divergence(self):
+        """At learning rate 30 the adversarial net's forward pass overflows
+        while its parameters are still below the divergence ceiling."""
+        base = default_sweep_config()
+        cfg = dataclasses.replace(
+            base, curvature_targets=(50.0,), betas=(2,), seeds=(1,),
+            train=dataclasses.replace(base.train, epochs=6, learning_rate=30.0))
+        (result,) = run_sweep(cfg)
+        assert result.status == "diverged"
+
+    def test_every_metric_is_nan_when_only_the_standard_twin_diverges(self):
+        base = default_sweep_config()
+        cfg = dataclasses.replace(
+            base, curvature_targets=(0.5,), betas=(2,), seeds=(1,),
+            train=dataclasses.replace(base.train, epochs=6, learning_rate=1.0))
+        dataset = make_dataset(cfg.dataset, cfg.dataset_n, cfg.dataset_seed)
+        adv_cfg = dataclasses.replace(cfg.train, seed=1)
+        std_cfg = dataclasses.replace(adv_cfg, mode="standard", attack=None)
+        net = init_network(cfg.widths, rct_af(alpha_for_curvature(2, 0.5), 2),
+                           seed=curvact.training._mix(1, 2), scheme="xavier")
+        train_network(net, dataset, adv_cfg)  # the adversarial net survives
+        with pytest.raises(TrainingDivergedError):
+            train_network(net, dataset, std_cfg)
+        (result,) = run_sweep(cfg)
+        assert result.status == "diverged"
+        for name in ("clean_acc", "robust_acc", "diag_norm", "std_clean_acc"):
+            assert math.isnan(getattr(result, name)), name
+
+    def test_group_rows_equal_solo_cells_when_some_members_diverge(self):
+        """At learning rate 1 the beta = 2, seed 0 group loses curvature 0.5
+        to a non-finite forward pass and 1.0 to wild parameters in
+        adversarial training, and 2.0 in standard training; 4.0 survives.
+        Each row is its cell's row run on its own."""
+        base = default_sweep_config()
+        cfg = dataclasses.replace(
+            base, curvature_targets=(0.5, 1.0, 2.0, 4.0), betas=(2,), seeds=(0,),
+            train=dataclasses.replace(base.train, epochs=6, learning_rate=1.0))
+        dataset = make_dataset(cfg.dataset, cfg.dataset_n, cfg.dataset_seed)
+        rows = run_sweep(cfg)
+        assert [r.status for r in rows] == ["diverged"] * 3 + ["ok"]
+        for r in rows:
+            solo = run_cell(cfg, dataset, r.beta, r.curvature, r.seed)
+            assert _text(solo) == _text(r)
+
+    def test_curvature_subgrid_rows_equal_full_grid_rows(self):
+        full = run_sweep(_tiny_sweep(curvature_targets=(0.5, 2.0, 7.0, 50.0), seeds=(0, 1)))
+        sub = run_sweep(_tiny_sweep(curvature_targets=(2.0, 50.0), seeds=(1,)))
+        assert [_text(r) for r in sub] == \
+            [_text(r) for r in full if r.curvature in (2.0, 50.0) and r.seed == 1]
+
+    def test_resume_fills_in_a_half_done_group(self, tmp_path):
+        path = tmp_path / "results.csv"
+        cfg = _tiny_sweep(curvature_targets=(0.5, 7.0, 50.0))
+        full = run_sweep(cfg, results_path=path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows[:2])
+        events = []
+        resumed = run_sweep(cfg, results_path=path, resume=True,
+                            progress=lambda kind, _: events.append(kind))
+        assert events.count("skipped") == 1 and events.count("done") == 2
+        assert [_text(r) for r in resumed] == [_text(r) for r in full]
+        assert [_text(r) for r in read_sweep_results(path)] == [_text(r) for r in full]
 
     def test_missing_column_is_named(self, tmp_path):
         path = tmp_path / "bad.csv"
