@@ -17,7 +17,8 @@ One kernel per kind, _kernel(spec, x, order), returns sigma up to its
 order-th derivative; value, d1 and d2 are that kernel behind a finiteness
 check, and the network asks it for the order its caller needs.  The
 family's closed forms exist once, in _family, which also takes alpha as
-an array so a network stack evaluates all its members in one call.
+an array so a network stack evaluates each run of members that share a
+beta in one call.
 
 Derivatives for beta = 1, 2 are closed forms in s = logistic(alpha*x),
 g = s * (1 - s) and m = 1 - 2s:
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf, expit
@@ -99,12 +100,26 @@ def rct_af(alpha: float, beta: int) -> ActivationSpec:
 
 @dataclass(frozen=True, eq=False)
 class FamilyStack:
-    """The hidden activations of a network stack: family members of one
-    beta side by side, alpha an (S, 1, 1) array with one entry per member."""
+    """The hidden activations of a network stack: family members side by
+    side, alpha an (S, 1, 1) array and beta an (S,) int array with one
+    entry per member.
+
+    runs lists (beta, start, stop) for each run of consecutive members
+    that share a beta, worked out once here; an empty stack is one empty
+    run.
+    """
 
     alpha: np.ndarray
-    beta: int
+    beta: np.ndarray
+    runs: tuple[tuple[int, int, int], ...] = field(init=False)
     kind = "rct_af"
+
+    def __post_init__(self):
+        beta = np.asarray(self.beta, dtype=np.int64)
+        cuts = [0, *(np.flatnonzero(np.diff(beta)) + 1).tolist(), len(beta)]
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "runs", tuple(
+            (int(beta[lo]) if lo < hi else 0, lo, hi) for lo, hi in zip(cuts, cuts[1:])))
 
 
 def relu() -> ActivationSpec:
@@ -146,11 +161,12 @@ def _ret(arr_in: np.ndarray, out: np.ndarray):
     return float(out) if arr_in.ndim == 0 else out
 
 
-def _sgm(t: np.ndarray):
-    """logistic s, symmetric product g = s*(1-s) and difference m = 1 - 2s."""
+def _sgm(t: np.ndarray, with_m: bool):
+    """logistic s, symmetric product g = s*(1-s) and, when with_m is set,
+    difference m = 1 - 2s (else None)."""
     sp = expit(t)
     sn = expit(-t)
-    return sp, sp * sn, sn - sp
+    return sp, sp * sn, (sn - sp if with_m else None)
 
 
 def value(spec: ActivationSpec, x):
@@ -203,7 +219,8 @@ def _family(a, b: int, x: np.ndarray, order: int) -> list[np.ndarray]:
     elif b == 1 and order == 0:
         out = [x * expit(t)]
     else:
-        s, g, m = _sgm(t)
+        # m enters sigma'' of beta = 1 and sigma' of beta = 2.
+        s, g, m = _sgm(t, with_m=order == 2 or (b == 2 and order == 1))
         if b == 1:
             out = [x * s, s + t * g]
             if order == 2:
@@ -222,6 +239,10 @@ def _kernel(spec: ActivationSpec, x: np.ndarray, order: int) -> list[np.ndarray]
     checked for finiteness.  Each kind computes its shared terms once, and
     no order evaluates a term above its own.
     """
+    if isinstance(spec, FamilyStack):
+        # x has a leading member axis; each run evaluates on a view of it.
+        parts = [_family(spec.alpha[lo:hi], b, x[lo:hi], order) for b, lo, hi in spec.runs]
+        return parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
     spec = _AS_FAMILY.get(spec.kind, spec)
     k = spec.kind
     if k == "rct_af":

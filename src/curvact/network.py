@@ -18,13 +18,14 @@ the batch shape; repeated evaluation of the same batch is always
 bit-identical.
 
 A NetworkStack holds S networks of one shape side by side, weights of
-shape (S, out, in).  forward_batch, batch_deltas, grad_input_batch and
-grad_params_batch take a stack wherever they take a Network: inputs are
-shared, shape (n, in), or per member, shape (S, n, in), and results gain
-a leading member axis.  Each member's results equal the same call on
-that member alone bit for bit, because every product and reduction runs
-per member on operands laid out as in the single-network call.  A plain
-Network runs the same code on 2-D arrays.
+shape (S, out, in), each with its own rct_af member of any beta.
+forward_batch, batch_deltas, grad_input_batch and grad_params_batch take
+a stack wherever they take a Network: inputs are shared, shape (n, in),
+or per member, shape (S, n, in), and results gain a leading member axis.
+Each member's results equal the same call on that member alone bit for
+bit, because every product and reduction runs per member on operands
+laid out as in the single-network call.  A plain Network runs the same
+code on 2-D arrays.
 """
 
 from __future__ import annotations
@@ -88,9 +89,10 @@ class Network(Record):
 
 @dataclass(eq=False)
 class NetworkStack:
-    """S networks of one shape whose hidden activations are family members
-    of one beta: weights[l] is (S, out, in), biases[l] is (S, 1, out) and
-    activation.alpha is (S, 1, 1).  Build one with stack_networks."""
+    """S networks of one shape whose hidden activations are rct_af
+    members: weights[l] is (S, out, in), biases[l] is (S, 1, out),
+    activation.alpha is (S, 1, 1) and activation.beta is (S,).  Build one
+    with stack_networks."""
 
     widths: tuple[int, ...]
     weights: list[np.ndarray]
@@ -109,13 +111,15 @@ class NetworkStack:
         a = self.activation
         return Network(self.widths, [W[k].copy() for W in self.weights],
                        [b[k, 0].copy() for b in self.biases],
-                       act.rct_af(float(a.alpha[k, 0, 0]), a.beta))
+                       act.rct_af(float(a.alpha[k, 0, 0]), int(a.beta[k])))
 
     def take(self, keep) -> "NetworkStack":
-        """A stack of the members picked by an index array or boolean mask."""
+        """A stack of the members picked by an index array or boolean mask,
+        possibly none."""
         a = self.activation
         return NetworkStack(self.widths, [W[keep] for W in self.weights],
-                            [b[keep] for b in self.biases], FamilyStack(a.alpha[keep], a.beta))
+                            [b[keep] for b in self.biases],
+                            FamilyStack(a.alpha[keep], a.beta[keep]))
 
     def copy(self) -> "NetworkStack":
         return self.take(np.arange(len(self)))
@@ -123,23 +127,24 @@ class NetworkStack:
 
 def stack_networks(nets) -> NetworkStack:
     """One stack of networks that share their widths and whose activations
-    are rct_af members of one beta; member k is nets[k]."""
+    are rct_af members of any beta; member k is nets[k].  Members of one
+    beta evaluate together, so listing them next to each other makes the
+    fewest activation calls."""
     nets = list(nets)
     if not nets:
         raise ValueError("stack_networks needs at least one network")
     first = nets[0]
     for net in nets:
-        spec = net.activation
         if net.widths != first.widths:
             raise ValueError("stacked networks must share their widths")
-        if spec.kind != "rct_af" or spec.beta != first.activation.beta:
-            raise ValueError("stacked networks must use rct_af members of one beta")
+        if net.activation.kind != "rct_af":
+            raise ValueError("stacked networks must use rct_af members")
     alpha = np.array([net.activation.alpha for net in nets]).reshape(-1, 1, 1)
     return NetworkStack(
         first.widths,
         [np.stack([net.weights[l] for net in nets]) for l in range(first.depth)],
         [np.stack([net.biases[l][None, :] for net in nets]) for l in range(first.depth)],
-        FamilyStack(alpha, first.activation.beta),
+        FamilyStack(alpha, [net.activation.beta for net in nets]),
     )
 
 

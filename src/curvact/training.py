@@ -7,14 +7,15 @@ robust test accuracy) and one standard twin from the same initialization
 (reporting its clean test accuracy and the normalized Hessian-diagonal
 norm over the training split at the end of training).
 
-The cells that share beta and seed differ only in alpha, so the sweep
-runs each such group as one NetworkStack: one minibatch order, one set of
-PGD starts and ball bounds, and every matrix product run per member, so
-each row is bit for bit the row of its cell run alone.  Results stream to
-CSV as groups finish, keyed by (beta, curvature, seed) so an interrupted
-sweep resumes without recomputing finished cells.  A cell whose training
-produces non-finite values is recorded with status "diverged", and its
-group trains on without it, rather than aborting the sweep.
+The cells that share a seed differ only in their initial weights and
+their activation (alpha and beta), so the sweep runs each seed's cells as
+one NetworkStack: one minibatch order, one set of PGD starts and ball
+bounds, and every matrix product run per member, so each row is bit for
+bit the row of its cell run alone.  Results stream to CSV as groups
+finish, keyed by (beta, curvature, seed) so an interrupted sweep resumes
+without recomputing finished cells.  A cell whose training produces
+non-finite values is recorded with status "diverged", and its group
+trains on without it, rather than aborting the sweep.
 """
 
 from __future__ import annotations
@@ -301,8 +302,8 @@ class SweepResult:
     """One sweep cell: adversarial-run accuracies plus the standard twin's
     diagonal norm and clean accuracy.  Metrics are NaN when status is not
     ok, whichever twin diverged.  wall_time_s is the wall time of the
-    cell's (beta, seed) group divided by the cells the group ran, so the
-    column still sums to the sweep's compute time."""
+    cell's seed group divided by the cells the group ran, so the column
+    still sums to the sweep's compute time."""
 
     beta: int
     curvature: float
@@ -320,18 +321,22 @@ def _cell_key(beta: int, curvature: float, seed: int) -> tuple[int, float, int]:
     return (int(beta), float(curvature), int(seed))
 
 
-def run_cells(config: SweepConfig, dataset: Dataset, beta: int, curvatures,
+def run_cells(config: SweepConfig, dataset: Dataset, cells,
               seed: int) -> list[SweepResult]:
     """Train the adversarial network and its standard twin for the cells
-    (beta, c, seed), c in curvatures, as one network stack; one row per c.
+    (beta, c, seed), (beta, c) in cells, as one network stack; one row per
+    cell.
 
-    The cells of a (beta, seed) group differ only in alpha.  They share the
-    initial weights, the minibatch order, the PGD start rows and the ball
-    bounds, so they train side by side, and every row equals the row of its
-    cell run on its own in every field but wall_time_s, which is the
-    group's wall time divided by the number of cells.  A cell whose
-    adversarial network or standard twin diverges gets status "diverged"
-    and NaN metrics; the other cells of its group train on unchanged.
+    The cells of a seed group differ only in their initial weights (drawn
+    from seed and beta) and their activation.  They share the minibatch
+    order, the PGD start rows and the ball bounds, so they train side by
+    side, and every row equals the row of its cell run on its own in every
+    field but wall_time_s, which is the group's wall time divided by the
+    number of cells.  Listing the cells of one beta next to each other, as
+    run_sweep does, lets each beta's members share activation calls.  A
+    cell whose adversarial network or standard twin diverges gets status
+    "diverged" and NaN metrics; the other cells of its group train on
+    unchanged.
 
     Cells initialize with the xavier scheme: its smaller first-layer gains
     keep low-curvature activations in their gentle central region at the
@@ -339,10 +344,10 @@ def run_cells(config: SweepConfig, dataset: Dataset, beta: int, curvatures,
     second-derivative bound actually shows up at this problem scale.
     """
     start = time.perf_counter()
-    alphas = [alpha_for_curvature(beta, c) for c in curvatures]
+    alphas = [alpha_for_curvature(beta, c) for beta, c in cells]
     stack = stack_networks(init_network(config.widths, rct_af(a, beta),
                                         seed=_mix(seed, beta), scheme="xavier")
-                           for a in alphas)
+                           for a, (beta, _) in zip(alphas, cells))
     x_te, y_te = dataset.x_test, dataset.y_test
 
     def survivors(keys, history):
@@ -363,7 +368,7 @@ def run_cells(config: SweepConfig, dataset: Dataset, beta: int, curvatures,
             for i, k in enumerate(ok_keys)}
     wall = (time.perf_counter() - start) / len(alphas)
     rows = []
-    for k, (curvature, alpha) in enumerate(zip(curvatures, alphas)):
+    for k, ((beta, curvature), alpha) in enumerate(zip(cells, alphas)):
         if k in diag:
             metrics = (float(clean[k]), float(robust[k]), diag[k], float(std_clean[k]))
         else:
@@ -376,7 +381,7 @@ def run_cells(config: SweepConfig, dataset: Dataset, beta: int, curvatures,
 def run_cell(config: SweepConfig, dataset: Dataset, beta: int, curvature: float,
              seed: int) -> SweepResult:
     """One sweep cell: the one-member view of run_cells."""
-    return run_cells(config, dataset, beta, (curvature,), seed)[0]
+    return run_cells(config, dataset, ((beta, curvature),), seed)[0]
 
 
 def _format_cell(v: float) -> str:
@@ -444,13 +449,13 @@ def run_sweep(
 ) -> list[SweepResult]:
     """Run every (beta, curvature, seed) cell exactly once.
 
-    The cells still to run are grouped by (beta, seed) and each group runs
-    as one stack (run_cells).  With results_path set, rows are appended (and
-    flushed) as groups finish; existing rows are honoured when resume is
-    true, so a partial file picks up where it left off, and an interrupted
-    group recomputes only its unfinished cells.  jobs > 1 fans groups out
-    to worker processes; the returned list is always in canonical grid
-    order, whatever the order of rows in the file.
+    The cells still to run are grouped by seed and each group runs as one
+    stack (run_cells), its cells in grid order.  With results_path set,
+    rows are appended (and flushed) as groups finish; existing rows are
+    honoured when resume is true, so a partial file picks up where it left
+    off, and an interrupted group recomputes only its unfinished cells.
+    jobs > 1 fans groups out to worker processes; the returned list is
+    always in canonical grid order, whatever the order of rows in the file.
     """
     dataset = make_dataset(config.dataset, config.dataset_n, config.dataset_seed)
     cells = [(b, c, s) for b in config.betas for c in config.curvature_targets
@@ -481,22 +486,22 @@ def run_sweep(
         if progress is not None:
             progress("done", result)
 
-    groups: dict[tuple[int, int], list[float]] = {}
+    groups: dict[int, list[tuple[int, float]]] = {}
     for b, c, s in cells:
         if _cell_key(b, c, s) not in done:
-            groups.setdefault((b, s), []).append(c)
+            groups.setdefault(s, []).append((b, c))
     for key in done:
         if progress is not None:
             progress("skipped", key)
     try:
         if jobs <= 1 or len(groups) <= 1:
-            for (b, s), curvatures in groups.items():
-                for result in run_cells(config, dataset, b, curvatures, s):
+            for s, group in groups.items():
+                for result in run_cells(config, dataset, group, s):
                     record(result)
         else:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(run_cells, config, dataset, b, curvatures, s)
-                           for (b, s), curvatures in groups.items()]
+                futures = [pool.submit(run_cells, config, dataset, group, s)
+                           for s, group in groups.items()]
                 for fut in as_completed(futures):
                     for result in fut.result():
                         record(result)

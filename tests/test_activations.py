@@ -292,17 +292,23 @@ def test_softplus_identity_with_beta0():
         _assert_same_bits(fn(rct_af(1.0, 0), _IDENTITY_XS), fn(softplus(), _IDENTITY_XS))
 
 
-@pytest.mark.parametrize("beta", [0, 1, 2])
-def test_family_evaluates_members_side_by_side(beta):
-    """An (S, 1, 1) alpha gives each member the bits of its own float alpha,
-    as a network stack's forward pass relies on."""
-    alphas = (0.5, 1.0, 14.0, 200.0)
-    xs = np.stack([_IDENTITY_XS, -_IDENTITY_XS, 3.0 * _IDENTITY_XS, _IDENTITY_XS / 7.0])
-    stacked = act.FamilyStack(np.array(alphas).reshape(-1, 1, 1), beta)
+@pytest.mark.parametrize("betas", [(0,) * 6, (1,) * 6, (2,) * 6, (0, 0, 1, 2, 2, 1)],
+                         ids=["0", "1", "2", "interleaved"])
+def test_family_evaluates_members_side_by_side(betas):
+    """An (S, 1, 1) alpha gives each member the bits of its own float alpha
+    and beta, as a network stack's forward pass relies on, also when the
+    betas come in interleaved runs."""
+    alphas = (0.5, 1.0, 14.0, 200.0, 3.0, 0.75)
+    xs = np.stack([_IDENTITY_XS, -_IDENTITY_XS, 3.0 * _IDENTITY_XS, _IDENTITY_XS / 7.0,
+                   _IDENTITY_XS + 0.5, 0.25 - _IDENTITY_XS])
+    stacked = act.FamilyStack(np.array(alphas).reshape(-1, 1, 1), betas)
+    runs = stacked.runs  # maximal runs of one beta that cover the members in order
+    assert [b for b, lo, hi in runs for _ in range(lo, hi)] == list(betas)
+    assert all(r[0] != q[0] for r, q in zip(runs, runs[1:]))
     for order in (0, 1, 2):
         got = act._kernel(stacked, xs[:, :, None], order)
         assert len(got) == order + 1
-        for k, a in enumerate(alphas):
+        for k, (a, beta) in enumerate(zip(alphas, betas)):
             for fn, g in zip((value, d1, d2), got):
                 _assert_same_bits(g[k, :, 0], fn(rct_af(a, beta), xs[k]))
 

@@ -405,52 +405,65 @@ def test_forward_only_calls_do_not_warn_at_a_kink(spec):
 # ----- network stacks -----
 
 _STACK_ALPHAS = (0.5, 14.0, 100.0)
+# Betas in interleaved runs: (0, 0), (1,), (2, 2), (1,).
+_MIXED_BETAS = (0, 0, 1, 2, 2, 1)
 
 
-def _stack_nets(widths, beta, seed=0):
+def _stack_nets(widths, betas, seed=0):
     """Members with their own weights, so a member mix-up shows."""
-    return [init_network(widths, rct_af(a, beta), seed=seed + k)
-            for k, a in enumerate(_STACK_ALPHAS)]
+    return [init_network(widths, rct_af(_STACK_ALPHAS[k % 3], b), seed=seed + k)
+            for k, b in enumerate(betas)]
 
 
-@pytest.mark.parametrize("beta", [0, 1, 2])
+@pytest.mark.parametrize("betas", [(0,) * 3, (1,) * 3, (2,) * 3, _MIXED_BETAS],
+                         ids=["0", "1", "2", "mixed"])
 @pytest.mark.parametrize("widths", [(2, 1), (2, 5, 1), (2, 16, 16, 1), (3, 4, 6, 5, 1)])
 @pytest.mark.parametrize("n", [1, 16, 97])
-def test_stack_calls_equal_member_calls_bitwise(beta, widths, n):
-    rng = np.random.default_rng([beta, len(widths), n])
-    nets = _stack_nets(widths, beta)
+def test_stack_calls_equal_member_calls_bitwise(betas, widths, n):
+    rng = np.random.default_rng([betas[0], len(widths), n])
+    nets = _stack_nets(widths, betas)
     stack = stack_networks(nets)
     y = rng.choice([-1.0, 1.0], size=n)
     shared = rng.normal(size=(n, widths[0]))
     per_member = rng.normal(size=(len(nets), n, widths[0]))
+    attack = AttackConfig(0.25, 0.0625, 3, True)
+    adv = pgd_batch(stack, shared, y, attack, rng_seed=5)
     for X in (shared, per_member):
-        bt = forward_batch(stack, X, order=2)
+        traces = [forward_batch(stack, X, order=order) for order in (0, 1, 2)]
+        bt = traces[2]
         deltas = batch_deltas(stack, bt)
         g_in = grad_input_batch(stack, X, y)
         g_par = grad_params_batch(stack, X, y)
         losses = mean_loss(stack, X, y)
         for k, net in enumerate(nets):
             Xk = X if X.ndim == 2 else X[k]
-            ref = forward_batch(net, Xk, order=2)
-            np.testing.assert_array_equal(_bits(bt.f[k]), _bits(ref.f))
+            for order, got in enumerate(traces):
+                ref = forward_batch(net, Xk, order=order)
+                layers = [([got.f], [ref.f]), (got.z, ref.z), (got.h[1:], ref.h[1:])]
+                if order:
+                    layers.append((got.d1, ref.d1))
+                if order == 2:
+                    layers.append((got.d2, ref.d2))
+                for got_list, want_list in layers:
+                    for g, want in zip(got_list, want_list, strict=True):
+                        np.testing.assert_array_equal(_bits(g[k]), _bits(want))
+            ref_deltas = batch_deltas(net, forward_batch(net, Xk, order=2))
             for l in range(net.depth):
-                np.testing.assert_array_equal(_bits(bt.z[l][k]), _bits(ref.z[l]))
                 # The output delta is all ones and shared by the members.
                 got = np.broadcast_to(deltas[l], bt.z[l].shape)[k]
-                np.testing.assert_array_equal(_bits(got), _bits(batch_deltas(net, ref)[l]))
-            for l in range(net.depth - 1):
-                for got, want in ((bt.h[l + 1], ref.h[l + 1]), (bt.d1[l], ref.d1[l]),
-                                  (bt.d2[l], ref.d2[l])):
-                    np.testing.assert_array_equal(_bits(got[k]), _bits(want))
+                np.testing.assert_array_equal(_bits(got), _bits(ref_deltas[l]))
             np.testing.assert_array_equal(_bits(g_in[k]), _bits(grad_input_batch(net, Xk, y)))
             for (dW, db), (rW, rb) in zip(g_par, grad_params_batch(net, Xk, y)):
                 np.testing.assert_array_equal(_bits(dW[k]), _bits(rW))
                 np.testing.assert_array_equal(_bits(db[k, 0]), _bits(rb))
             assert losses[k] == mean_loss(net, Xk, y)
+    for k, net in enumerate(nets):
+        want = pgd_batch(net, shared, y, attack, rng_seed=5)
+        np.testing.assert_array_equal(_bits(adv[k]), _bits(want))
 
 
 def test_stack_members_round_trip():
-    nets = _stack_nets((2, 5, 3, 1), 2)
+    nets = _stack_nets((2, 5, 3, 1), (2, 2, 2))
     stack = stack_networks(nets)
     assert len(stack) == 3 and stack.depth == 3 and stack.widths == (2, 5, 3, 1)
     picked = stack.take([2, 0])
@@ -469,11 +482,32 @@ def test_stack_networks_rejects_what_cannot_share_one_pass():
     with pytest.raises(ValueError, match="widths"):
         stack_networks([init_network((2, 4, 1), rct_af(1.0, 1), seed=0),
                         init_network((2, 5, 1), rct_af(1.0, 1), seed=0)])
-    with pytest.raises(ValueError, match="beta"):
-        stack_networks([init_network((2, 4, 1), rct_af(1.0, 1), seed=0),
-                        init_network((2, 4, 1), rct_af(1.0, 2), seed=0)])
-    with pytest.raises(ValueError, match="beta"):
+    with pytest.raises(ValueError, match="rct_af"):
         stack_networks([init_network((2, 4, 1), act.gelu(), seed=0)])
+
+
+def test_mixed_beta_take_crosses_runs_and_reaches_zero_members():
+    nets = _stack_nets((2, 4, 3, 1), _MIXED_BETAS)
+    stack = stack_networks(nets)
+    X = np.random.default_rng(0).normal(size=(5, 2))
+    # Members 1 and 2 straddle the boundary between the beta 0 and beta 1
+    # runs; 4 and 0 come back in reverse order.
+    for keep in ([1, 2], [4, 0], np.array([True, False, True, True, False, True])):
+        picked = stack.take(keep)
+        chosen = np.arange(len(nets))[keep]
+        assert [b for b, lo, hi in picked.activation.runs for _ in range(lo, hi)] == \
+            [nets[i].activation.beta for i in chosen]
+        f = forward_batch(picked, X, order=2).f
+        for k, i in enumerate(chosen):
+            assert picked.member(k).activation == nets[i].activation
+            np.testing.assert_array_equal(flat_params(picked.member(k)), flat_params(nets[i]))
+            np.testing.assert_array_equal(_bits(f[k]), _bits(forward_batch(nets[i], X).f))
+    for keep in ([], np.zeros(len(nets), dtype=bool)):
+        empty = stack.take(keep)
+        assert len(empty) == 0 and len(empty.take([])) == 0
+        bt = forward_batch(empty, X, order=2)
+        assert bt.f.shape == (0, 5) and bt.d2[1].shape == (0, 5, 3)
+        assert grad_input_batch(empty, X, np.ones(5)).shape == (0, 5, 2)
 
 
 def test_non_finite_forward_names_the_stack_members():

@@ -525,6 +525,63 @@ class TestRunSweep:
         assert [_text(r) for r in resumed] == [_text(r) for r in full]
         assert [_text(r) for r in read_sweep_results(path)] == [_text(r) for r in full]
 
+    def test_default_grid_runs_one_group_per_seed(self, monkeypatch):
+        """Each seed's 30 cells, every beta among them, train as one stack."""
+        calls = []
+
+        def fake_run_cells(config, dataset, cells, seed):
+            calls.append((list(cells), seed))
+            return [SweepResult(b, c, alpha_for_curvature(b, c), seed, *[math.nan] * 4,
+                                "diverged", math.nan) for b, c in cells]
+
+        monkeypatch.setattr(curvact.training, "run_cells", fake_run_cells)
+        cfg = default_sweep_config()
+        rows = run_sweep(cfg)
+        grid = [(b, c) for b in cfg.betas for c in cfg.curvature_targets]
+        assert calls == [(grid, s) for s in cfg.seeds]
+        assert [(r.beta, r.curvature, r.seed) for r in rows] == \
+            [(b, c, s) for b, c in grid for s in cfg.seeds]
+
+    def test_seed_group_spanning_betas_equals_solo_cells(self):
+        """At learning rate 0.5 the beta = 1, curvature 0.5 member diverges
+        while the members of beta 0 and 2 in its seed group train on.  Each
+        row is its cell's row run on its own."""
+        base = default_sweep_config()
+        cfg = dataclasses.replace(
+            base, curvature_targets=(0.5, 2.0), seeds=(0,),
+            train=dataclasses.replace(base.train, epochs=6, learning_rate=0.5))
+        dataset = make_dataset(cfg.dataset, cfg.dataset_n, cfg.dataset_seed)
+        rows = run_sweep(cfg)
+        assert [(r.beta, r.status) for r in rows] == \
+            [(0, "ok"), (0, "ok"), (1, "diverged"), (1, "ok"), (2, "ok"), (2, "ok")]
+        for r in rows:
+            solo = run_cell(cfg, dataset, r.beta, r.curvature, r.seed)
+            assert _text(solo) == _text(r)
+
+    def test_resume_fills_in_a_group_left_half_done_across_betas(self, tmp_path, monkeypatch):
+        path = tmp_path / "results.csv"
+        cfg = _tiny_sweep(curvature_targets=(0.5, 7.0), betas=(0, 1, 2))
+        full = run_sweep(cfg, results_path=path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows[:4])  # the header, beta 0 and beta 1 at 0.5
+        groups = []
+        real_run_cells = curvact.training.run_cells
+
+        def spy(config, dataset, cells, seed):
+            groups.append(list(cells))
+            return real_run_cells(config, dataset, cells, seed)
+
+        monkeypatch.setattr(curvact.training, "run_cells", spy)
+        events = []
+        resumed = run_sweep(cfg, results_path=path, resume=True,
+                            progress=lambda kind, _: events.append(kind))
+        assert groups == [[(1, 7.0), (2, 0.5), (2, 7.0)]]
+        assert events.count("skipped") == 3 and events.count("done") == 3
+        assert [_text(r) for r in resumed] == [_text(r) for r in full]
+        assert [_text(r) for r in read_sweep_results(path)] == [_text(r) for r in full]
+
     def test_missing_column_is_named(self, tmp_path):
         path = tmp_path / "bad.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
