@@ -302,8 +302,9 @@ class SweepResult:
     """One sweep cell: adversarial-run accuracies plus the standard twin's
     diagonal norm and clean accuracy.  Metrics are NaN when status is not
     ok, whichever twin diverged.  wall_time_s is the wall time of the
-    cell's seed group divided by the cells the group ran, so the column
-    still sums to the sweep's compute time."""
+    cell's group (its seed's cells, or under jobs > 1 possibly one beta of
+    them) divided by the cells the group ran, so the column still sums to
+    the sweep's compute time."""
 
     beta: int
     curvature: float
@@ -454,8 +455,11 @@ def run_sweep(
     rows are appended (and flushed) as groups finish; existing rows are
     honoured when resume is true, so a partial file picks up where it left
     off, and an interrupted group recomputes only its unfinished cells.
-    jobs > 1 fans groups out to worker processes; the returned list is
-    always in canonical grid order, whatever the order of rows in the file.
+    jobs > 1 fans groups out to worker processes; when the last wave has
+    fewer groups than workers, each of its groups runs as one group per
+    beta, so the workers share it.  Rows do not depend on the grouping, and
+    the returned list is always in canonical grid order, whatever the order
+    of rows in the file.
     """
     dataset = make_dataset(config.dataset, config.dataset_n, config.dataset_seed)
     cells = [(b, c, s) for b in config.betas for c in config.curvature_targets
@@ -486,22 +490,29 @@ def run_sweep(
         if progress is not None:
             progress("done", result)
 
-    groups: dict[int, list[tuple[int, float]]] = {}
+    by_seed: dict[int, list[tuple[int, float]]] = {}
     for b, c, s in cells:
         if _cell_key(b, c, s) not in done:
-            groups.setdefault(s, []).append((b, c))
+            by_seed.setdefault(s, []).append((b, c))
+    groups = list(by_seed.items())
+    if jobs > 1:
+        # A last wave of fewer groups than workers splits into beta groups.
+        full = len(groups) - len(groups) % jobs
+        groups[full:] = [(s, [cell for cell in group if cell[0] == b])
+                         for s, group in groups[full:]
+                         for b in dict.fromkeys(b for b, _ in group)]
     for key in done:
         if progress is not None:
             progress("skipped", key)
     try:
         if jobs <= 1 or len(groups) <= 1:
-            for s, group in groups.items():
+            for s, group in groups:
                 for result in run_cells(config, dataset, group, s):
                     record(result)
         else:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 futures = [pool.submit(run_cells, config, dataset, group, s)
-                           for s, group in groups.items()]
+                           for s, group in groups]
                 for fut in as_completed(futures):
                     for result in fut.result():
                         record(result)

@@ -434,6 +434,23 @@ class TestRunSweep:
         strip = lambda rows: [dataclasses.replace(r, wall_time_s=0.0) for r in rows]
         assert strip(run_sweep(cfg, jobs=2)) == strip(run_sweep(cfg, jobs=1))
 
+    def test_partial_last_wave_splits_by_beta_with_the_same_rows(self, monkeypatch):
+        """Three seed groups on two workers: the third group runs as one
+        group per beta, and every row equals its row from one worker."""
+        cfg = _tiny_sweep(seeds=(0, 1, 2), betas=(0, 2))
+        submitted = []
+
+        class SpyPool(curvact.training.ProcessPoolExecutor):
+            def submit(self, fn, config, dataset, cells, seed):
+                submitted.append((list(cells), seed))
+                return super().submit(fn, config, dataset, cells, seed)
+
+        monkeypatch.setattr(curvact.training, "ProcessPoolExecutor", SpyPool)
+        rows = run_sweep(cfg, jobs=2)
+        both = [(0, 7.0), (2, 7.0)]
+        assert submitted == [(both, 0), (both, 1), ([(0, 7.0)], 2), ([(2, 7.0)], 2)]
+        assert [_text(r) for r in rows] == [_text(r) for r in run_sweep(cfg, jobs=1)]
+
     def test_divergent_cell_is_recorded_not_raised(self):
         cfg = _tiny_sweep(
             curvature_targets=(50.0,),
