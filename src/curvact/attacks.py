@@ -7,16 +7,13 @@ so an exact zero output is always wrong.
 Perturbations never leave the epsilon-ball around the clean input: the
 projection clips to per-element bounds that are pre-corrected for
 rounding, so the recomputed offset x' - x never exceeds epsilon, not even
-by one ulp.  Optional global input bounds are clamped after the ball
-projection and take precedence; if a clean input already lies outside
-them, the clamp can move its adversarial view farther than epsilon.  All
-randomness is driven by an explicit non-negative integer seed; row i of a
-batch starts from np.random.default_rng(seed XOR i).uniform(-epsilon,
-epsilon, d), so results do not depend on evaluation order.  pgd_batch
-computes every row's start in one vectorized pass of numpy's own
-SeedSequence and PCG64 integer arithmetic, bit for bit the per-row
-default_rng stream; the test suite pins it to numpy's generator.  The
-start depends only on the seed and the clean rows, so the members of a
+by one ulp.  All randomness is driven by an explicit non-negative integer
+seed; row i of a batch starts from np.random.default_rng(seed XOR i)
+.uniform(-epsilon, epsilon, d), so results do not depend on evaluation
+order.  pgd_batch computes every row's start in one vectorized pass of
+numpy's own SeedSequence and PCG64 integer arithmetic, bit for bit the
+per-row default_rng stream; the test suite pins it to numpy's generator.
+The start depends only on the seed and the clean rows, so the members of a
 network stack attacked together share one random start: each member's
 iterate, shape (S, n, d) once the first step is taken, is bit for bit
 the one a solo attack on that member computes.
@@ -44,7 +41,6 @@ class AttackConfig(Record):
     step_size: float
     steps: int
     random_start: bool
-    input_bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.epsilon) or self.epsilon < 0:
@@ -55,17 +51,6 @@ class AttackConfig(Record):
             raise ValueError("steps must be a positive integer")
         if self.steps > 1 and self.epsilon > 0 and self.step_size > 2.0 * self.epsilon:
             raise ValueError("step_size above 2 * epsilon makes iteration pointless")
-        if self.input_bounds is not None:
-            lo, hi = self.input_bounds
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValueError("input_bounds must be a finite (low, high) pair")
-            object.__setattr__(self, "input_bounds", (float(lo), float(hi)))
-
-
-def _clamp_bounds(X: np.ndarray, bounds: tuple[float, float] | None) -> np.ndarray:
-    if bounds is None:
-        return X
-    return np.clip(X, bounds[0], bounds[1])
 
 
 def _ball_bounds(X: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -102,7 +87,7 @@ def _check_labels(y: np.ndarray) -> np.ndarray:
     return y
 
 
-def fgsm(net: Network, x, y, epsilon: float, input_bounds=None) -> np.ndarray:
+def fgsm(net: Network, x, y, epsilon: float) -> np.ndarray:
     """Single signed-gradient step of size epsilon; sign(0) moves nothing.
 
     Accepts one sample (1-D x, scalar y) or a batch (2-D x, label vector);
@@ -113,13 +98,12 @@ def fgsm(net: Network, x, y, epsilon: float, input_bounds=None) -> np.ndarray:
         raise ValueError("epsilon must be finite and non-negative")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
-        return fgsm(net, x[None, :], np.array([float(y)]), epsilon, input_bounds)[0]
+        return fgsm(net, x[None, :], np.array([float(y)]), epsilon)[0]
     x = _check_finite(x)
     y = np.asarray(y, dtype=np.float64)
     g = grad_input_batch(net, x, y)
     lo, hi = _ball_bounds(x, epsilon)
-    out = np.clip(x + epsilon * np.sign(g), lo, hi)
-    return _clamp_bounds(out, input_bounds)
+    return np.clip(x + epsilon * np.sign(g), lo, hi)
 
 
 # numpy's SeedSequence (a pool of four uint32 words) and PCG64 (XSL-RR
@@ -248,26 +232,26 @@ def pgd_batch(
     lo, hi = _ball_bounds(X, cfg.epsilon)
     cur = X.copy()
     if cfg.random_start and cfg.epsilon > 0:
-        cur += _start_offsets(rng_seed, *X.shape, cfg.epsilon)
-        cur = _clamp_bounds(np.clip(cur, lo, hi), cfg.input_bounds)
+        cur = np.clip(cur + _start_offsets(rng_seed, *X.shape, cfg.epsilon), lo, hi)
     for step in range(cfg.steps):
         g = grad_input_batch(net, cur, y)
         cur = np.clip(cur + cfg.step_size * np.sign(g), lo, hi)
-        cur = _clamp_bounds(cur, cfg.input_bounds)
         if on_step is not None:
             on_step(step, cur)
     return cur
 
 
-def pgd(net: Network, x, y: float, cfg: AttackConfig, rng_seed: int, on_step=None) -> np.ndarray:
+def pgd(net: Network, x, y: float, cfg: AttackConfig, rng_seed: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    out = pgd_batch(net, x[None, :], np.array([float(y)]), cfg, rng_seed,
-                    None if on_step is None else lambda s, c: on_step(s, c[0]))
-    return out[0]
+    return pgd_batch(net, x[None, :], np.array([float(y)]), cfg, rng_seed)[0]
 
 
 def _rate(ok: np.ndarray):
-    """Share of True over the rows: a float, or one per stack member."""
+    """Share of True over the rows: a float, or one per stack member.  No
+    rows is a ValueError; a stack of no members with rows gives an empty
+    array."""
+    if ok.shape[-1] == 0:
+        raise ValueError("accuracy needs at least one sample")
     out = np.mean(ok, axis=-1)
     return float(out) if out.ndim == 0 else out
 
@@ -291,8 +275,6 @@ def robust_accuracy(net: Network | NetworkStack, X, y, cfg: AttackConfig, rng_se
     """
     X = np.asarray(X, dtype=np.float64)
     y = _check_labels(y)
-    if X.shape[0] == 0:
-        raise ValueError("robust_accuracy needs at least one sample")
     adv = pgd_batch(net, X, y, cfg, rng_seed, on_step)
     f_clean = forward_batch(net, X).f
     f_adv = forward_batch(net, adv).f

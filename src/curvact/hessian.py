@@ -185,33 +185,20 @@ def normalized_diag_norm(diag, p: int) -> float:
     return float(np.sqrt(np.mean(diag * diag)))
 
 
-def dataset_diag_norm(
-    net: Network, X, y, reduction: str = "mean_diag_then_norm"
-) -> float:
-    """Aggregate diagonal norm over a dataset.
-
-    mean_diag_then_norm averages the per-sample diagonal vectors and takes
-    the norm of the mean; mean_of_norms averages per-sample norms.  Samples
-    are evaluated in blocks of rows and summed in sample order.
+def dataset_diag_norm(net: Network, X, y) -> float:
+    """Normalized norm of the dataset's mean Hessian diagonal: the
+    per-sample diagonals are averaged first, then normalized_diag_norm is
+    taken of the mean.  Samples are evaluated in blocks of rows and summed
+    in sample order.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[0] != y.shape[0]:
         raise ValueError("expected matching, nonempty inputs and labels")
-    if reduction not in ("mean_diag_then_norm", "mean_of_norms"):
-        raise ValueError(f"unknown reduction {reduction!r}")
     p = net.param_count
     acc = np.zeros(p)
-    total = 0.0
     for start in range(0, X.shape[0], _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        diag = _diag_rows(net, X[rows], y[rows])[0]
-        if reduction == "mean_diag_then_norm":
-            for row in diag:
-                acc += row
-        else:
-            for norm in np.sqrt(np.mean(diag * diag, axis=1)):
-                total += float(norm)
-    if reduction == "mean_diag_then_norm":
-        return normalized_diag_norm(acc / X.shape[0], p)
-    return total / X.shape[0]
+        for row in _diag_rows(net, X[rows], y[rows])[0]:
+            acc += row
+    return normalized_diag_norm(acc / X.shape[0], p)

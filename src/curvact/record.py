@@ -3,11 +3,12 @@
 Record gives a dataclass to_dict and from_dict, both driven by its field
 annotations.  to_dict writes the fields in declaration order, leaves out
 fields that are None, nests records and turns tuples and arrays into
-lists.  from_dict requires every field whose annotation does not admit
-None, rejects a non-object and unknown keys, and converts each value to
-its annotated type: an int must be integral, a float must be a number and
-a bool must be a JSON bool.  Errors name the offending field by its path,
-e.g. SweepConfig.train.epochs.  Range checks stay in each class's
+lists; a sequence field is tuple[X, ...] or list[X].  from_dict requires
+every field whose annotation does not admit None, rejects a non-object
+and unknown keys, and converts each value to its annotated type: an int
+must be integral, a float must be a number and a bool must be a JSON
+bool.  Errors name the offending field by its path, e.g.
+SweepConfig.train.epochs.  Range checks stay in each class's
 __post_init__.
 """
 
@@ -35,11 +36,6 @@ def _split_optional(tp) -> tuple[object, bool]:
     return tp, False
 
 
-def _item_type(tp, i: int):
-    args = typing.get_args(tp)
-    return args[0] if len(args) == 1 or args[-1] is Ellipsis else args[i]
-
-
 def _encode(value, tp):
     tp, _ = _split_optional(tp)
     if isinstance(value, Record):
@@ -47,7 +43,7 @@ def _encode(value, tp):
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (tuple, list)):
-        return [_encode(v, _item_type(tp, i)) for i, v in enumerate(value)]
+        return [_encode(v, typing.get_args(tp)[0]) for v in value]
     return tp(value)
 
 
@@ -63,11 +59,8 @@ def _decode(value, tp, path: str):
     if origin in (tuple, list):
         if not isinstance(value, list):
             raise ValueError(f"{path} must be a list, got {value!r}")
-        args = typing.get_args(tp)
-        if origin is tuple and args[-1] is not Ellipsis and len(value) != len(args):
-            raise ValueError(f"{path} must have {len(args)} entries, got {len(value)}")
-        return origin(_decode(v, _item_type(tp, i), f"{path}[{i}]")
-                      for i, v in enumerate(value))
+        item = typing.get_args(tp)[0]
+        return origin(_decode(v, item, f"{path}[{i}]") for i, v in enumerate(value))
     if tp is np.ndarray:
         try:
             return np.asarray(value, dtype=np.float64)

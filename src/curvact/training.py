@@ -100,18 +100,15 @@ class TrainConfig(Record):
 
 @dataclass
 class TrainingHistory:
-    """Per-epoch clean train loss, plus clean and robust test accuracy when
-    training was given an eval attack (else both stay empty).
+    """Clean train loss after every epoch.
 
     For a network stack each entry is an array with one value per member
     of the stack passed in, not finite from the epoch the member diverged
-    in, and diverged maps each dropped member to that epoch.  The lists
-    stop early if every member diverges.
+    in, and diverged maps each dropped member to that epoch.  The list
+    stops early if every member diverges.
     """
 
     train_loss: list
-    clean_test_acc: list
-    robust_test_acc: list
     diverged: dict[int, int] = field(default_factory=dict)
 
 
@@ -135,7 +132,6 @@ def train_network(
     net: Network | NetworkStack,
     dataset: Dataset,
     cfg: TrainConfig,
-    eval_attack: AttackConfig | None = None,
 ) -> tuple[Network | NetworkStack, TrainingHistory]:
     """Train a copy of net, a network or a stack; the input is never mutated.
 
@@ -151,13 +147,10 @@ def train_network(
     members in their original order.  Overflow warnings in a diverging
     batch are suppressed so the value checks are the single signal.
 
-    The history records the clean train loss after every epoch.  The test
-    split is evaluated only when eval_attack is given: clean accuracy and
-    robust accuracy against eval_attack, once per epoch.  Evaluation draws
-    no training randomness, so it never changes the trained weights.
+    The history records the clean train loss after every epoch; the test
+    split is not read.
     """
     x_tr, y_tr = dataset.x_train, dataset.y_train
-    x_te, y_te = dataset.x_test, dataset.y_test
     if net.widths[0] != x_tr.shape[1]:
         raise ValueError("network input width does not match the dataset")
     if not (np.isfinite(x_tr).all() and np.isfinite(y_tr).all()):
@@ -169,7 +162,7 @@ def train_network(
            for W, b in zip(work.weights, work.biases)]
     rng = np.random.default_rng(cfg.seed)
     n = x_tr.shape[0]
-    history = TrainingHistory([], [], [])
+    history = TrainingHistory([])
 
     def drop(bad, epoch):
         nonlocal work, vel, alive
@@ -225,13 +218,6 @@ def train_network(
         epoch_loss = attempt(epoch, lambda w: mean_loss(w, x_tr, y_tr))
         history.train_loss.append(per_member(epoch_loss))
         drop(~np.isfinite(epoch_loss), epoch)
-        if eval_attack is not None:
-            clean, robust = attempt(epoch, lambda w: (
-                clean_accuracy(w, x_te, y_te),
-                robust_accuracy(w, x_te, y_te, eval_attack,
-                                rng_seed=_mix(cfg.seed, 0xE7A1, epoch))))
-            history.clean_test_acc.append(per_member(clean))
-            history.robust_test_acc.append(per_member(robust))
     return work, history
 
 

@@ -46,12 +46,6 @@ class TestAttackConfig:
                                  "random_start": True}
         assert AttackConfig.from_dict(cfg.to_dict()) == cfg
 
-    def test_round_trips_input_bounds(self):
-        cfg = AttackConfig(0.1, 0.05, 5, False, input_bounds=(-1.0, 1.0))
-        data = cfg.to_dict()
-        assert data["input_bounds"] == [-1.0, 1.0]
-        assert AttackConfig.from_dict(data) == cfg
-
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError, match="epsilon"):
             AttackConfig(-0.1, 0.05, 5, False)
@@ -75,12 +69,6 @@ class TestAttackConfig:
         AttackConfig(0.1, 0.2, 2, False)
         AttackConfig(0.1, 5.0, 1, False)
         AttackConfig(0.0, 5.0, 3, False)
-
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError, match="input_bounds"):
-            AttackConfig(0.1, 0.05, 2, False, input_bounds=(1.0, 1.0))
-        with pytest.raises(ValueError, match="input_bounds"):
-            AttackConfig(0.1, 0.05, 2, False, input_bounds=(0.0, float("nan")))
 
     def test_from_dict_names_missing_fields(self):
         with pytest.raises(ValueError, match="steps"):
@@ -120,11 +108,14 @@ class TestFgsm:
             assert loss(net, out, y) >= loss(net, x, y)
 
     def test_budget_and_bounds_hold(self):
+        # 0.95 + 0.3 rounds upward, so the ball's upper bound for that
+        # coordinate is walked back one float; 0.2 + 0.3 is exact.
         net = _linear_net([1.0, 1.0])
         x = np.array([0.95, 0.2])
-        out = fgsm(net, x, -2.0, epsilon=0.3, input_bounds=(0.0, 1.0))
+        out = fgsm(net, x, -2.0, epsilon=0.3)
         assert np.max(np.abs(out - x)) <= 0.3
-        assert np.all((out >= 0.0) & (out <= 1.0))
+        assert out[0] == np.nextafter(0.95 + 0.3, 0.0)
+        assert out[1] == 0.2 + 0.3
 
     def test_rejects_negative_epsilon(self):
         net = _linear_net([1.0])
@@ -155,15 +146,16 @@ class TestPgd:
         assert seen == list(range(self.CFG.steps))
 
     def test_result_within_ball_and_bounds(self):
-        # Bounds must contain the clean data for both contracts to be
-        # satisfiable at once; these clip a good share of the iterates.
-        cfg = AttackConfig(0.3, 0.075, 10, True, input_bounds=(-1.3, 2.2))
+        # The ball's per-element bounds clip a good share of the iterates,
+        # which then sit exactly on them.
+        cfg = AttackConfig(0.3, 0.075, 10, True)
         net = init_network((2, 8, 1), rct_af(10.0, 1), seed=2)
         X, y = _moon_batch()
         out = pgd_batch(net, X, y, cfg, rng_seed=4)
+        lo, hi = atk._ball_bounds(X, cfg.epsilon)
         assert np.max(np.abs(out - X)) <= cfg.epsilon
-        assert out.min() >= -1.3 and out.max() <= 2.2
-        assert np.any((out == -1.3) | (out == 2.2))
+        assert np.all((lo <= out) & (out <= hi))
+        assert np.any((out == lo) | (out == hi))
 
     def test_single_step_without_random_start_is_fgsm(self):
         cfg = AttackConfig(epsilon=0.3, step_size=0.3, steps=1, random_start=False)
@@ -267,10 +259,20 @@ class TestRobustAccuracy:
                             TestPgd.CFG, rng_seed=0)
 
     def test_rejects_empty_dataset(self):
+        """No rows is an error for both accuracies, on a network and on a
+        stack; a stack of no members over some rows gives no accuracies."""
         net = _linear_net([1.0, 0.0])
-        with pytest.raises(ValueError, match="at least one"):
-            robust_accuracy(net, np.zeros((0, 2)), np.zeros(0), TestPgd.CFG,
-                            rng_seed=0)
+        stack = stack_networks([net, _linear_net([0.0, 1.0])])
+        for model in (net, stack):
+            with pytest.raises(ValueError, match="at least one"):
+                clean_accuracy(model, np.zeros((0, 2)), np.zeros(0))
+            with pytest.raises(ValueError, match="at least one"):
+                robust_accuracy(model, np.zeros((0, 2)), np.zeros(0), TestPgd.CFG,
+                                rng_seed=0)
+        X, y = _moon_batch(n=6)
+        empty = stack.take(np.zeros(2, dtype=bool))
+        assert clean_accuracy(empty, X, y).shape == (0,)
+        assert robust_accuracy(empty, X, y, TestPgd.CFG, rng_seed=0).shape == (0,)
 
     def test_zero_epsilon_equals_clean_accuracy(self):
         cfg = AttackConfig(epsilon=0.0, step_size=0.1, steps=3, random_start=True)
@@ -320,15 +322,14 @@ class TestRobustAccuracy:
         assert a == b
 
 
-@pytest.mark.parametrize("bounds", [None, (-1.0, 1.5)])
-def test_stack_attacks_equal_member_attacks_bitwise(bounds):
+def test_stack_attacks_equal_member_attacks_bitwise():
     """One shared start and one set of ball bounds serve every member; each
     member's iterate and accuracies are those of its own attack."""
     X, y = _moon_batch(n=40)
     nets = [init_network((2, 8, 8, 1), rct_af(a, 2), seed=k)
             for k, a in enumerate((0.5, 14.0, 100.0))]
     stack = stack_networks(nets)
-    cfg = AttackConfig(0.25, 0.0625, 5, True, input_bounds=bounds)
+    cfg = AttackConfig(0.25, 0.0625, 5, True)
     steps = []
     adv = pgd_batch(stack, X, y, cfg, rng_seed=11, on_step=lambda s, cur: steps.append(cur))
     assert adv.shape == (3, 40, 2) and len(steps) == cfg.steps

@@ -18,7 +18,7 @@ import pytest
 from curvact.activations import ActivationSpec, d1, d2, max_abs_d2, rct_af, value
 from curvact.cli import main
 from curvact.network import init_network, save_network
-from curvact.training import default_sweep_config, read_sweep_results
+from curvact.training import SweepConfig, default_sweep_config, read_sweep_results
 
 
 def _tiny_sweep_dict():
@@ -286,6 +286,20 @@ class TestSweepAndPlot:
         out = tmp_path / "r.csv"
         assert main(["sweep", "--config", str(bad), "--output", str(out)]) == 1
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_config_with_input_bounds_is_rejected(self, tmp_path, capsys):
+        """Attacks take no input_bounds; a config that sets them fails
+        loudly instead of running without the clamp it asks for."""
+        data = _tiny_sweep_dict()
+        data["train"]["attack"]["input_bounds"] = [-1.0, 1.0]
+        with pytest.raises(ValueError, match=r"SweepConfig\.train\.attack.*input_bounds"):
+            SweepConfig.from_dict(data)
+        bad = tmp_path / "bounds.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--config", str(bad), "--output", str(out)]) == 1
+        assert "input_bounds" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_command_returns_1(self, capsys):

@@ -274,14 +274,12 @@ class TestNormalizedNorm:
 
 class TestDatasetDiagNorm:
     def test_single_sample_reductions_agree(self):
+        """On one sample the dataset norm equals the per-sample report's."""
         net = small_net(seed=12)
         x = np.array([[0.2, 0.9]])
         y = np.array([1.0])
         expected = hessian_diag_exact(net, x[0], 1.0).normalized_norm
         assert dataset_diag_norm(net, x, y) == pytest.approx(expected, rel=1e-15)
-        assert dataset_diag_norm(net, x, y, reduction="mean_of_norms") == pytest.approx(
-            expected, rel=1e-15
-        )
 
     def test_mean_diag_then_norm_matches_manual_average(self):
         # Rows of a block may differ from per-sample results in the last
@@ -296,32 +294,22 @@ class TestDatasetDiagNorm:
             X = rng.normal(size=(n, 2))
             y = rng.choice((-1.0, 1.0), size=n)
             acc = np.zeros(net.param_count)
-            norms = 0.0
             for i in range(n):
-                report = hessian_diag_exact(net, X[i], float(y[i]))
-                acc += report.diag
-                norms += report.normalized_norm
+                acc += hessian_diag_exact(net, X[i], float(y[i])).diag
             expected = normalized_diag_norm(acc / n, net.param_count)
             assert dataset_diag_norm(net, X, y) == pytest.approx(expected, rel=rel)
-            assert dataset_diag_norm(net, X, y, reduction="mean_of_norms") \
-                == pytest.approx(norms / n, rel=rel)
 
     def test_opposite_diags_distinguish_reductions(self, monkeypatch):
         # Canned rows whose diagonals are exactly opposite for opposite
-        # labels: averaging the vectors cancels to zero while averaging
-        # the norms does not.
+        # labels: the norm of their mean is zero although each row's norm
+        # is not, so the dataset norm averages the vectors, not the norms.
         net = small_net(widths=(2, 2, 1), seed=14)
         vec = np.linspace(1.0, 2.0, net.param_count)
         monkeypatch.setattr(hess, "_diag_rows", lambda _n, _X, y: (y[:, None] * vec,))
         X = np.zeros((2, 2))
         y = np.array([1.0, -1.0])
+        assert normalized_diag_norm(vec, net.param_count) > 0.0
         assert dataset_diag_norm(net, X, y) == 0.0
-        assert dataset_diag_norm(net, X, y, reduction="mean_of_norms") > 0.0
-
-    def test_rejects_unknown_reduction(self):
-        net = small_net()
-        with pytest.raises(ValueError, match="reduction"):
-            dataset_diag_norm(net, np.zeros((1, 2)), np.zeros(1), reduction="median")
 
     def test_rejects_empty_or_mismatched(self):
         net = small_net()

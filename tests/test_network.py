@@ -18,7 +18,6 @@ from curvact.network import (
     flat_params,
     forward,
     forward_batch,
-    grad_input,
     grad_input_batch,
     grad_params,
     grad_params_batch,
@@ -26,7 +25,6 @@ from curvact.network import (
     load_network,
     loss,
     mean_loss,
-    param_layout,
     replace_params,
     save_network,
     stack_networks,
@@ -191,6 +189,12 @@ def test_mean_loss_is_mean_of_losses():
     y = rng.choice((-1.0, 1.0), size=7)
     per = [loss(net, X[i], float(y[i])) for i in range(7)]
     assert mean_loss(net, X, y) == pytest.approx(np.mean(per), rel=1e-15)
+    for i in range(7):
+        # loss is the one-row view of mean_loss, and scaling by 0.5 is
+        # exact, so it keeps the bits of 0.5 * diff * diff.
+        assert per[i] == mean_loss(net, X[i:i + 1], y[i:i + 1])
+        diff = float(forward(net, X[i]).f[0]) - float(y[i])
+        assert per[i] == 0.5 * diff * diff
 
 
 def test_grad_params_zero_at_fit():
@@ -208,8 +212,8 @@ def test_grad_params_output_layer_structure():
     y = -1.0
     trace = forward(net, x)
     grad = grad_params(net, x, y)
-    layout = param_layout(net)
-    out_w = [k for k, (layer, kind) in enumerate(layout) if layer == 2 and kind == "weight"]
+    # Layer 1's 4x2 weights and 4 biases come first; the output weights next.
+    out_w = slice(12, 16)
     np.testing.assert_allclose(grad[out_w], (trace.f[0] - y) * trace.h[1][0], rtol=1e-13)
 
 
@@ -219,7 +223,8 @@ def test_grad_input_linear_net():
     x = np.array([1.0, 1.0])
     y = 0.5
     f = forward(lin, x).f[0]
-    np.testing.assert_allclose(grad_input(lin, x, y), (f - y) * w[0], rtol=1e-14)
+    np.testing.assert_allclose(grad_input_batch(lin, x[None, :], [y])[0], (f - y) * w[0],
+                               rtol=1e-14)
 
 
 def test_gradient_check_random_nets():
@@ -244,7 +249,7 @@ def test_gradient_check_random_nets():
             fd = (loss(replace_params(net, up), x, y)
                   - loss(replace_params(net, down), x, y)) / (2 * h)
             assert abs(grad[k] - fd) <= max(1e-5 * abs(fd), 1e-8)
-        gx = grad_input(net, x, y)
+        gx = grad_input_batch(net, x[None, :], [y])[0]
         for j in range(x.size):
             up = x.copy()
             up[j] += h
@@ -295,15 +300,6 @@ def test_flat_params_round_trip():
         np.testing.assert_array_equal(rebuilt.weights[l], net.weights[l])
     with pytest.raises(ValueError):
         replace_params(net, vec[:-1])
-
-
-def test_param_layout_counts():
-    net = init_network((2, 3, 1), rct_af(1.0, 0), seed=0)
-    layout = param_layout(net)
-    assert len(layout) == net.param_count
-    assert layout[0] == (1, "weight")
-    assert layout[6] == (1, "bias")
-    assert layout[-1] == (2, "bias")
 
 
 ALL_KIND_SPECS = [rct_af(7.0, 0), rct_af(7.0, 1), rct_af(7.0, 2), act.relu(),

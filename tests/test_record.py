@@ -17,7 +17,6 @@ from curvact.training import TrainConfig
 
 _positive = st.floats(min_value=0.0, max_value=1e6, exclude_min=True)
 _non_negative = st.floats(min_value=0.0, max_value=1e6)
-_finite = st.floats(allow_nan=False, allow_infinity=False)
 
 activation_specs = st.one_of(
     st.builds(rct_af, _positive, st.sampled_from((0, 1, 2))),
@@ -40,8 +39,7 @@ def attack_configs(draw):
     # Iterated attacks cap the step at twice the radius.
     top = 2.0 * epsilon if steps > 1 and epsilon > 0 else 10.0
     step_size = draw(st.floats(min_value=0.0, max_value=top, exclude_min=True))
-    bounds = draw(st.none() | st.tuples(_finite, _finite).filter(lambda b: b[0] < b[1]))
-    return AttackConfig(epsilon, step_size, steps, draw(st.booleans()), input_bounds=bounds)
+    return AttackConfig(epsilon, step_size, steps, draw(st.booleans()))
 
 
 @st.composite

@@ -20,7 +20,6 @@ from curvact.errors import ResultsFormatError, TrainingDivergedError
 from curvact.network import flat_params, init_network, stack_networks
 import curvact.training
 from curvact.training import (
-    DEFAULT_EVAL_ATTACK,
     TRAIN_MODES,
     SweepConfig,
     SweepResult,
@@ -119,12 +118,8 @@ class TestTrainNetwork:
     def test_history_has_one_entry_per_epoch(self):
         ds = _moons()
         net = init_network((2, 5, 1), rct_af(7.0, 1), seed=2)
-        _, history = train_network(net, ds, _quick_cfg(epochs=4),
-                                   eval_attack=DEFAULT_EVAL_ATTACK)
+        _, history = train_network(net, ds, _quick_cfg(epochs=4))
         assert len(history.train_loss) == 4
-        assert len(history.clean_test_acc) == 4
-        assert len(history.robust_test_acc) == 4
-        assert all(0.0 <= a <= 1.0 for a in history.clean_test_acc)
 
     def test_loss_drops_on_easy_data(self):
         ds = make_dataset(gaussian_blobs(separation=6.0), n=200, seed=9)
@@ -145,33 +140,10 @@ class TestTrainNetwork:
         zero = AttackConfig(epsilon=0.0, step_size=0.1, steps=3, random_start=True)
         adv_cfg = _quick_cfg(mode="pgd_adversarial", attack=zero, epochs=4)
         std_cfg = _quick_cfg(mode="standard", epochs=4)
-        net_adv, hist_adv = train_network(net, ds, adv_cfg, eval_attack=DEFAULT_EVAL_ATTACK)
-        net_std, hist_std = train_network(net, ds, std_cfg, eval_attack=DEFAULT_EVAL_ATTACK)
+        net_adv, hist_adv = train_network(net, ds, adv_cfg)
+        net_std, hist_std = train_network(net, ds, std_cfg)
         np.testing.assert_array_equal(flat_params(net_adv), flat_params(net_std))
         assert hist_adv.train_loss == hist_std.train_loss
-        assert hist_adv.robust_test_acc == hist_std.robust_test_acc
-
-    def test_robust_eval_is_opt_in_and_leaves_training_unchanged(self, monkeypatch):
-        calls = []
-        counted = curvact.training.robust_accuracy
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return counted(*args, **kwargs)
-
-        monkeypatch.setattr(curvact.training, "robust_accuracy", counting)
-        ds = _moons()
-        net = init_network((2, 6, 1), rct_af(10.0, 1), seed=5)
-        cfg = _quick_cfg(mode="pgd_adversarial",
-                         attack=AttackConfig(0.25, 0.0625, 5, True), epochs=3)
-        with_eval, hist_with = train_network(net, ds, cfg, eval_attack=DEFAULT_EVAL_ATTACK)
-        assert len(calls) == 3
-        without, hist_without = train_network(net, ds, cfg)
-        assert len(calls) == 3
-        np.testing.assert_array_equal(flat_params(without), flat_params(with_eval))
-        assert hist_without.train_loss == hist_with.train_loss
-        assert hist_without.clean_test_acc == []
-        assert hist_without.robust_test_acc == []
 
     def test_deterministic_given_seeds(self):
         ds = _moons()
@@ -212,16 +184,12 @@ class TestTrainStack:
         nets = self._nets()
         attack = AttackConfig(0.25, 0.0625, 4, True) if mode != "standard" else None
         cfg = _quick_cfg(mode=mode, attack=attack)
-        trained, history = train_network(stack_networks(nets), ds, cfg,
-                                         eval_attack=DEFAULT_EVAL_ATTACK)
+        trained, history = train_network(stack_networks(nets), ds, cfg)
         assert len(trained) == 3 and history.diverged == {}
         for k, net in enumerate(nets):
-            solo, solo_hist = train_network(net, ds, cfg, eval_attack=DEFAULT_EVAL_ATTACK)
+            solo, solo_hist = train_network(net, ds, cfg)
             np.testing.assert_array_equal(flat_params(trained.member(k)), flat_params(solo))
-            for got, want in ((history.train_loss, solo_hist.train_loss),
-                              (history.clean_test_acc, solo_hist.clean_test_acc),
-                              (history.robust_test_acc, solo_hist.robust_test_acc)):
-                assert [e[k] for e in got] == want
+            assert [e[k] for e in history.train_loss] == solo_hist.train_loss
 
     def test_diverged_members_are_dropped_and_the_rest_train_on(self):
         """Member 0's second hidden layer overflows on the first batch: it is
