@@ -50,6 +50,8 @@ KINDS = ("rct_af", "relu", "leaky_relu", "elu", "gelu", "swish", "mish", "softpl
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# The family's peak |sigma''| is alpha / _PEAK_DIVISORS[beta], at x = 0.
+_PEAK_DIVISORS = (4.0, 2.0, 1.0)
 
 
 class SubgradientWarning(UserWarning):
@@ -328,36 +330,26 @@ def _golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
 
 
 def max_abs_d2(spec: ActivationSpec) -> CurvatureProfile:
-    """Grid-plus-refinement search for the maximum of |sigma''|.
+    """Location and size of the maximum of |sigma''|.
 
-    For the tunable family the analytic peak (alpha/4, alpha/2 or alpha at
-    x = 0) is returned after verifying no grid point beats it.  ReLU-style
-    kinks report +inf at the kink location.
+    The tunable family peaks at x = 0 with alpha/4, alpha/2 or alpha for
+    beta 0, 1 or 2, returned in closed form.  ReLU-style kinks report +inf
+    at the kink location.  Other activations are searched on a grid, with a
+    golden-section refinement around the best grid point.
     """
     if spec.kind in ("relu", "leaky_relu"):
         return CurvatureProfile(spec, 0.0, math.inf)
-
-    family = spec.kind == "rct_af"
-    analytic = spec.alpha / (4.0, 2.0, 1.0)[spec.beta] if family else None
-    xs = _symmetric_grid(20.0 / spec.alpha if family else 20.0, 4001)
+    if spec.kind == "rct_af":
+        return CurvatureProfile(spec, 0.0, float(spec.alpha / _PEAK_DIVISORS[spec.beta]))
+    xs = _symmetric_grid(20.0, 4001)
     vals = np.abs(d2(spec, xs))
     k = int(np.argmax(vals))
     lo = xs[max(k - 1, 0)]
     hi = xs[min(k + 1, len(xs) - 1)]
     x_ref, v_ref = _golden_max(lambda x: abs(d2(spec, x)), float(lo), float(hi))
     if v_ref >= vals[k]:
-        best_x, best_v = x_ref, v_ref
-    else:
-        best_x, best_v = float(xs[k]), float(vals[k])
-
-    if analytic is not None:
-        if best_v > analytic * (1.0 + 1e-9):
-            raise ArithmeticError(
-                f"grid search found |sigma''| = {best_v!r} above the analytic "
-                f"peak {analytic!r} for {spec}"
-            )
-        return CurvatureProfile(spec, 0.0, float(analytic))
-    return CurvatureProfile(spec, best_x, best_v)
+        return CurvatureProfile(spec, x_ref, v_ref)
+    return CurvatureProfile(spec, float(xs[k]), float(vals[k]))
 
 
 def alpha_for_curvature(beta: int, target: float) -> float:
@@ -366,4 +358,4 @@ def alpha_for_curvature(beta: int, target: float) -> float:
         raise ValueError("beta must be in {0, 1, 2}")
     if not math.isfinite(target) or target <= 0:
         raise ValueError("curvature target must be finite and positive")
-    return (4.0, 2.0, 1.0)[beta] * target
+    return _PEAK_DIVISORS[beta] * target

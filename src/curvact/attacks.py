@@ -59,18 +59,16 @@ def _ball_bounds(X: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]
     X + epsilon can round upward, in which case clipping to it leaves an
     iterate whose measured distance (hi - X) is one ulp above the budget.
     Walking such entries back by one float keeps the l-infinity contract
-    exact under recomputation.
+    exact under recomputation.  One step is enough: hi exceeds X + epsilon
+    only when it was rounded up, so its predecessor is at most X + epsilon
+    and its offset rounds to at most epsilon.  lo is the mirror case.
     """
     hi = X + epsilon
     over = (hi - X) > epsilon
-    while np.any(over):
-        hi[over] = np.nextafter(hi[over], -np.inf)
-        over = (hi - X) > epsilon
+    hi[over] = np.nextafter(hi[over], -np.inf)
     lo = X - epsilon
     under = (X - lo) > epsilon
-    while np.any(under):
-        lo[under] = np.nextafter(lo[under], np.inf)
-        under = (X - lo) > epsilon
+    lo[under] = np.nextafter(lo[under], np.inf)
     return lo, hi
 
 

@@ -24,8 +24,9 @@ import csv
 import math
 import os
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -45,14 +46,6 @@ from .network import (
 from .record import Record
 
 TRAIN_MODES = ("standard", "pgd_adversarial")
-
-SWEEP_COLUMNS = (
-    "beta", "curvature", "alpha", "seed", "clean_acc", "robust_acc",
-    "diag_norm", "wall_time_s", "status", "std_clean_acc",
-)
-
-# std_clean_acc trails the row so files missing it still parse.
-REQUIRED_SWEEP_COLUMNS = SWEEP_COLUMNS[:-1]
 
 DEFAULT_EVAL_ATTACK = AttackConfig(epsilon=0.25, step_size=0.015625, steps=40, random_start=True)
 
@@ -226,9 +219,10 @@ class SweepConfig(Record):
     """Grid over curvature targets, family indices beta and seeds.
 
     The train field is the template for the adversarial half of each cell;
-    the standard twin reuses it with mode forced to standard.  One dataset,
-    generated once from (dataset, dataset_n, dataset_seed), is shared by
-    every cell.
+    the standard twin reuses it with mode forced to standard.  Each cell
+    trains with its grid seed in place of train.seed, so train.seed has no
+    effect.  One dataset, generated once from (dataset, dataset_n,
+    dataset_seed), is shared by every cell.
     """
 
     curvature_targets: tuple[float, ...]
@@ -290,7 +284,8 @@ class SweepResult:
     ok, whichever twin diverged.  wall_time_s is the wall time of the
     cell's group (its seed's cells, or under jobs > 1 possibly one beta of
     them) divided by the cells the group ran, so the column still sums to
-    the sweep's compute time."""
+    the sweep's compute time.  The fields, in order, are the columns of a
+    results CSV, where a NaN metric is an empty field."""
 
     beta: int
     curvature: float
@@ -302,6 +297,14 @@ class SweepResult:
     wall_time_s: float
     status: str
     std_clean_acc: float
+
+
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepResult))
+# The measured columns: NaN when the cell diverged, an empty field in CSV.
+_METRICS = ("clean_acc", "robust_acc", "diag_norm", "std_clean_acc")
+
+# Column name -> int, float or str, the type a CSV field parses to.
+_COLUMN_TYPES = typing.get_type_hints(SweepResult)
 
 
 def _cell_key(beta: int, curvature: float, seed: int) -> tuple[int, float, int]:
@@ -357,11 +360,13 @@ def run_cells(config: SweepConfig, dataset: Dataset, cells,
     rows = []
     for k, ((beta, curvature), alpha) in enumerate(zip(cells, alphas)):
         if k in diag:
-            metrics = (float(clean[k]), float(robust[k]), diag[k], float(std_clean[k]))
+            metrics = dict(clean_acc=float(clean[k]), robust_acc=float(robust[k]),
+                           diag_norm=diag[k], std_clean_acc=float(std_clean[k]))
         else:
-            metrics = (float("nan"),) * 4
-        rows.append(SweepResult(beta, float(curvature), alpha, seed, *metrics[:3], wall,
-                                "ok" if k in diag else "diverged", metrics[3]))
+            metrics = dict.fromkeys(_METRICS, math.nan)
+        rows.append(SweepResult(beta=beta, curvature=float(curvature), alpha=alpha,
+                                seed=seed, wall_time_s=wall,
+                                status="ok" if k in diag else "diverged", **metrics))
     return rows
 
 
@@ -371,21 +376,17 @@ def run_cell(config: SweepConfig, dataset: Dataset, beta: int, curvature: float,
     return run_cells(config, dataset, ((beta, curvature),), seed)[0]
 
 
-def _format_cell(v: float) -> str:
-    return "" if isinstance(v, float) and math.isnan(v) else repr(v)
-
-
 def _result_row(r: SweepResult) -> list[str]:
-    return [
-        str(r.beta), repr(r.curvature), repr(r.alpha), str(r.seed),
-        _format_cell(r.clean_acc), _format_cell(r.robust_acc),
-        _format_cell(r.diag_norm), repr(r.wall_time_s), r.status,
-        _format_cell(r.std_clean_acc),
-    ]
-
-
-def _parse_cell(text: str) -> float:
-    return float("nan") if text == "" else float(text)
+    # A float's str is its repr: the shortest text that reads back to the
+    # same bits.  Only NaN differs from itself.
+    row = []
+    for name in SWEEP_COLUMNS:
+        value = getattr(r, name)
+        if value != value and name in _METRICS:
+            row.append("")
+        else:
+            row.append(str(value))
+    return row
 
 
 def _complete_lines(path) -> str:
@@ -398,10 +399,11 @@ def _complete_lines(path) -> str:
 
 def read_sweep_results(path) -> list[SweepResult]:
     """Parse a sweep CSV, skipping an incomplete final line; raises
-    ResultsFormatError on missing columns or a malformed row."""
+    ResultsFormatError on missing columns or a malformed row.  A file
+    without the trailing std_clean_acc column reads with that metric NaN."""
     reader = csv.DictReader(_complete_lines(path).splitlines(keepends=True))
     header = reader.fieldnames or []
-    for col in REQUIRED_SWEEP_COLUMNS:
+    for col in SWEEP_COLUMNS[:-1]:
         if col not in header:
             raise ResultsFormatError(f"results file is missing column {col!r}")
     out = []
@@ -409,18 +411,15 @@ def read_sweep_results(path) -> list[SweepResult]:
         try:
             if None in row or None in row.values():
                 raise ValueError(f"expected {len(header)} fields")
-            out.append(SweepResult(
-                beta=int(row["beta"]),
-                curvature=float(row["curvature"]),
-                alpha=float(row["alpha"]),
-                seed=int(row["seed"]),
-                clean_acc=_parse_cell(row["clean_acc"]),
-                robust_acc=_parse_cell(row["robust_acc"]),
-                diag_norm=_parse_cell(row["diag_norm"]),
-                wall_time_s=float(row["wall_time_s"]),
-                status=row["status"],
-                std_clean_acc=_parse_cell(row.get("std_clean_acc", "")),
-            ))
+            values = {}
+            for name, parse in _COLUMN_TYPES.items():
+                # Only the trailing std_clean_acc can be absent; it reads as NaN.
+                text = row.get(name, "")
+                if text == "" and name in _METRICS:
+                    values[name] = math.nan
+                else:
+                    values[name] = parse(text)
+            out.append(SweepResult(**values))
         except ValueError as exc:
             raise ResultsFormatError(
                 f"results file line {reader.line_num} is malformed: {exc}") from None
@@ -441,7 +440,8 @@ def run_sweep(
     rows are appended (and flushed) as groups finish; existing rows are
     honoured when resume is true, so a partial file picks up where it left
     off, and an interrupted group recomputes only its unfinished cells.
-    jobs > 1 fans groups out to worker processes; when the last wave has
+    A file whose header is not SWEEP_COLUMNS is not resumed but left as it
+    is (ResultsFormatError).  jobs > 1 fans groups out to worker processes; when the last wave has
     fewer groups than workers, each of its groups runs as one group per
     beta, so the workers share it.  Rows do not depend on the grouping, and
     the returned list is always in canonical grid order, whatever the order
@@ -455,6 +455,14 @@ def run_sweep(
     if results_path is not None:
         exists = os.path.exists(results_path) and os.path.getsize(results_path) > 0
         if resume and exists:
+            with open(results_path, "r", newline="", encoding="utf-8") as existing:
+                header = next(csv.reader(existing))
+            if tuple(header) != SWEEP_COLUMNS:
+                missing = [c for c in SWEEP_COLUMNS if c not in header]
+                extra = [c for c in header if c not in SWEEP_COLUMNS]
+                raise ResultsFormatError(
+                    f"cannot resume {results_path}: its columns differ from "
+                    f"{','.join(SWEEP_COLUMNS)} (missing {missing}, extra {extra})")
             for r in read_sweep_results(results_path):
                 done[_cell_key(r.beta, r.curvature, r.seed)] = r
             size = len(_complete_lines(results_path).encode("utf-8"))

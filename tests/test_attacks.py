@@ -117,6 +117,20 @@ class TestFgsm:
         assert out[0] == np.nextafter(0.95 + 0.3, 0.0)
         assert out[1] == 0.2 + 0.3
 
+    def test_ball_bounds_hold_the_budget_at_every_magnitude(self):
+        # A rounded X + epsilon is walked back by at most one float, and
+        # that float already holds the budget, from subnormals to the
+        # largest finite float.
+        rng = np.random.default_rng(3)
+        X = rng.choice((-1.0, 1.0), 20000) * 10.0 ** rng.uniform(-300, 300, 20000)
+        X[:4] = (np.finfo(float).max, -np.finfo(float).max, 5e-324, -5e-324)
+        for eps in (0.3, 1.0 / 3.0, 1e-7, 2.5e5):
+            lo, hi = atk._ball_bounds(X, eps)
+            assert np.all(hi - X <= eps) and np.all(X - lo <= eps)
+            with np.errstate(over="ignore"):  # stepping past the largest float
+                assert np.all((hi == X + eps) | (hi == np.nextafter(X + eps, -np.inf)))
+                assert np.all((lo == X - eps) | (lo == np.nextafter(X - eps, np.inf)))
+
     def test_rejects_negative_epsilon(self):
         net = _linear_net([1.0])
         with pytest.raises(ValueError, match="epsilon"):

@@ -160,6 +160,21 @@ class TestHessianCheck:
         assert code == 0
         assert "single-layer closed form: max abs diff =" in out
 
+    def test_nan_hessian_fails(self, tmp_path, capsys):
+        # Output weights near 1e300 overflow both diagonals to NaN; every
+        # comparison with NaN is false, so the check must not read as PASS.
+        net = init_network((2, 3, 1), rct_af(4.0, 1), seed=0)
+        net.weights[1] *= 1e300
+        path = tmp_path / "big.json"
+        save_network(net, path)
+        with np.errstate(all="ignore"):
+            code = main(["hessian-check", "--net", str(path), "--trials", "2"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "max abs error vs finite differences: nan" in out
+        assert "single-layer closed form: max abs diff = nan" in out
+        assert "result: FAIL" in out
+
     def test_usage_errors(self, capsys):
         assert main(["hessian-check", "--trials", "0"]) == 1
         assert main(["hessian-check", "--tolerance", "-1"]) == 1

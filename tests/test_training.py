@@ -9,6 +9,7 @@ import csv
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from curvact.errors import ResultsFormatError, TrainingDivergedError
 from curvact.network import flat_params, init_network, stack_networks
 import curvact.training
 from curvact.training import (
+    SWEEP_COLUMNS,
     TRAIN_MODES,
     SweepConfig,
     SweepResult,
@@ -30,6 +32,9 @@ from curvact.training import (
     run_sweep,
     train_network,
 )
+
+
+CACHE = Path(__file__).resolve().parent / "_sweep_cache" / "default_sweep.csv"
 
 
 def _moons(n=120, seed=4, noise=0.1):
@@ -386,16 +391,58 @@ class TestRunSweep:
     def test_malformed_row_is_named_by_line(self, tmp_path):
         path = tmp_path / "results.csv"
         good = ["1", "7.0", "14.0", "0", "0.9", "0.8", "0.1", "1.5", "ok", "0.9"]
+        # Only a metric may be empty (NaN); an empty key or wall time is malformed.
+        empties = [[("" if col == name else v) for col, v in zip(SWEEP_COLUMNS, good)]
+                   for name in ("beta", "curvature", "alpha", "seed", "wall_time_s")]
         for bad, line in ((good[:4], 3), (good[:4] + ["x"] + good[5:], 3),
-                          (good + ["extra"], 3), (good[:4], 4)):
+                          (good + ["extra"], 3), (good[:4], 4),
+                          *((row, 3) for row in empties)):
             rows = [good, bad, good] if line == 3 else [good, good, bad]
             with open(path, "w", newline="", encoding="utf-8") as fh:
-                fh.write(",".join(curvact.training.SWEEP_COLUMNS) + "\n")
+                fh.write(",".join(SWEEP_COLUMNS) + "\n")
                 fh.writelines(",".join(row) + "\n" for row in rows)
             with pytest.raises(ResultsFormatError, match=f"line {line}"):
                 read_sweep_results(path)
             with pytest.raises(ResultsFormatError, match=f"line {line}"):
                 run_sweep(_tiny_sweep(), results_path=path, resume=True)
+
+    @pytest.mark.parametrize("header, missing, extra", [
+        (SWEEP_COLUMNS[:-1], ["std_clean_acc"], []),
+        (SWEEP_COLUMNS + ("hess_lmax",), [], ["hess_lmax"]),
+        (SWEEP_COLUMNS[1:] + SWEEP_COLUMNS[:1], [], []),
+    ])
+    def test_resume_refuses_a_file_with_other_columns(self, tmp_path, header, missing, extra):
+        """Appending rows under another header would leave a file that no
+        longer reads; the resume stops before it writes or truncates."""
+        path = tmp_path / "results.csv"
+        values = dict(zip(SWEEP_COLUMNS, ["1", "7.0", "14.0", "3", "0.9", "0.8", "0.1",
+                                          "1.5", "ok", "0.9"]), hess_lmax="2.0")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.write(",".join(values[c] for c in header) + "\n")
+            fh.write("1,7.0")  # an interrupted final row
+        content = path.read_bytes()
+        with pytest.raises(ResultsFormatError, match="cannot resume") as info:
+            run_sweep(_tiny_sweep(), results_path=path, resume=True)
+        assert f"missing {missing}, extra {extra}" in str(info.value)
+        assert path.read_bytes() == content
+        assert len(read_sweep_results(path)) == 1
+
+    def test_committed_cache_is_written_back_byte_for_byte(self, tmp_path, monkeypatch):
+        """Every committed row, read and then written by the sweep, keeps its bytes."""
+        cached = {(r.beta, r.curvature, r.seed): r for r in read_sweep_results(CACHE)}
+
+        def cached_cells(config, dataset, cells, seed):
+            return [cached[(b, c, seed)] for b, c in cells]
+
+        monkeypatch.setattr(curvact.training, "run_cells", cached_cells)
+        path = tmp_path / "results.csv"
+        run_sweep(default_sweep_config(), results_path=path)
+        written = path.read_bytes().splitlines(keepends=True)
+        committed = CACHE.read_bytes().splitlines(keepends=True)
+        assert len(written) == len(committed) == 151
+        assert written[0] == committed[0]
+        assert sorted(written[1:]) == sorted(committed[1:])
 
     def test_independent_of_worker_count(self):
         cfg = _tiny_sweep(seeds=(0, 1))
