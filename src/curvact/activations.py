@@ -332,15 +332,16 @@ def _golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
 def max_abs_d2(spec: ActivationSpec) -> CurvatureProfile:
     """Location and size of the maximum of |sigma''|.
 
-    The tunable family peaks at x = 0 with alpha/4, alpha/2 or alpha for
-    beta 0, 1 or 2, returned in closed form.  ReLU-style kinks report +inf
-    at the kink location.  Other activations are searched on a grid, with a
-    golden-section refinement around the best grid point.
+    The tunable family, softplus and swish among it, peaks at x = 0 with
+    alpha/4, alpha/2 or alpha for beta 0, 1 or 2, returned in closed form.
+    ReLU-style kinks report +inf at the kink location.  Other activations
+    are searched on a grid, with a golden-section refinement.
     """
     if spec.kind in ("relu", "leaky_relu"):
         return CurvatureProfile(spec, 0.0, math.inf)
-    if spec.kind == "rct_af":
-        return CurvatureProfile(spec, 0.0, float(spec.alpha / _PEAK_DIVISORS[spec.beta]))
+    member = _AS_FAMILY.get(spec.kind, spec)
+    if member.kind == "rct_af":
+        return CurvatureProfile(spec, 0.0, float(member.alpha / _PEAK_DIVISORS[member.beta]))
     xs = _symmetric_grid(20.0, 4001)
     vals = np.abs(d2(spec, xs))
     k = int(np.argmax(vals))

@@ -66,6 +66,8 @@ from .network import (  # noqa: F401
     replace_params,
 )
 
+FD_STEP = 1e-4  # step of hessian_diag_fd, hessian-check's loss oracle
+
 # Rows per block in dataset_diag_norm: enough to amortize the per-call
 # overhead while the (rows, parameters) working arrays stay small.
 _BLOCK_ROWS = 32
@@ -139,13 +141,12 @@ def hessian_diag_exact(net: Network, x, y: float) -> HessianDiagReport:
     exact at any depth; see the module notes for the sibling-coupling term."""
     diag, gn, res, residual = _diag_rows(net, _as_row(x), np.array([float(y)]))
     return HessianDiagReport(diag[0], gn[0], res[0], float(residual[0]),
-                             normalized_diag_norm(diag[0], net.param_count))
+                             normalized_diag_norm(diag[0]))
 
 
-def hessian_diag_fd(net: Network, x, y: float, h: float = 1e-4) -> np.ndarray:
-    """Second central difference of the loss along each parameter axis."""
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
+def hessian_diag_fd(net: Network, x, y: float) -> np.ndarray:
+    """Second central difference of the loss along each axis, step FD_STEP."""
+    h = FD_STEP
     theta = flat_params(net)
     base = loss(net, x, y)
     out = np.empty(theta.shape[0])
@@ -175,13 +176,11 @@ def hessian_diag_fd_grad(net: Network, x, y: float, h: float = 1e-5) -> np.ndarr
     return out
 
 
-def normalized_diag_norm(diag, p: int) -> float:
-    """Root mean square of the diagonal entries: sqrt(sum(diag^2) / p)."""
+def normalized_diag_norm(diag) -> float:
+    """Root mean square of the p diagonal entries: sqrt(sum(diag^2) / p)."""
     diag = np.asarray(diag, dtype=np.float64)
-    if p < 1:
-        raise ValueError("parameter count must be positive")
-    if diag.shape != (p,):
-        raise ValueError(f"expected a diagonal of length {p}")
+    if diag.ndim != 1 or diag.size == 0:
+        raise ValueError("expected a nonempty 1-D diagonal")
     return float(np.sqrt(np.mean(diag * diag)))
 
 
@@ -195,10 +194,9 @@ def dataset_diag_norm(net: Network, X, y) -> float:
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[0] != y.shape[0]:
         raise ValueError("expected matching, nonempty inputs and labels")
-    p = net.param_count
-    acc = np.zeros(p)
+    acc = np.zeros(net.param_count)
     for start in range(0, X.shape[0], _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         for row in _diag_rows(net, X[rows], y[rows])[0]:
             acc += row
-    return normalized_diag_norm(acc / X.shape[0], p)
+    return normalized_diag_norm(acc / X.shape[0])

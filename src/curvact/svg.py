@@ -68,6 +68,10 @@ def _tick_label(v: float) -> str:
     return f"{v:.4g}"
 
 
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _nice_y_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
@@ -76,7 +80,7 @@ def _nice_y_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 
 
 def render_chart(spec: ChartSpec) -> str:
-    """Return the chart as a complete SVG document string."""
+    """Return the chart as a complete SVG document; all text is escaped."""
     xs = [v for s in spec.series for v in s.x]
     ys = [v for s in spec.series for v in s.y]
     tx = (lambda v: math.log10(v)) if spec.log_x else (lambda v: v)
@@ -102,7 +106,7 @@ def render_chart(spec: ChartSpec) -> str:
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{spec.title}</text>',
+        f'font-family="sans-serif" font-size="16">{_escape(spec.title)}</text>',
     ]
 
     # Axes.
@@ -145,12 +149,12 @@ def render_chart(spec: ChartSpec) -> str:
     parts.append(
         f'<text x="{MARGIN_LEFT + plot_w // 2}" y="{HEIGHT - 12}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="13">'
-        f'{spec.x_label}</text>'
+        f'{_escape(spec.x_label)}</text>'
     )
     parts.append(
         f'<text x="18" y="{MARGIN_TOP + plot_h // 2}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h // 2})">{spec.y_label}</text>'
+        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h // 2})">{_escape(spec.y_label)}</text>'
     )
 
     # Series polylines with circle markers, then the legend beside the plot.
@@ -177,7 +181,7 @@ def render_chart(spec: ChartSpec) -> str:
         )
         parts.append(
             f'<text x="{lx + 30}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">{s.label}</text>'
+            f'font-size="12">{_escape(s.label)}</text>'
         )
 
     parts.append("</svg>")

@@ -45,8 +45,6 @@ from .network import (
 )
 from .record import Record
 
-TRAIN_MODES = ("standard", "pgd_adversarial")
-
 DEFAULT_EVAL_ATTACK = AttackConfig(epsilon=0.25, step_size=0.015625, steps=40, random_start=True)
 
 _MASK64 = (1 << 64) - 1
@@ -64,14 +62,14 @@ def _mix(*parts: int) -> int:
 
 @dataclass(frozen=True)
 class TrainConfig(Record):
-    """SGD-with-momentum settings; mode selects clean or PGD batches."""
+    """SGD-with-momentum settings.  With an attack set, every batch is
+    replaced by its PGD perturbations; without one, training is standard.
+    The seed is an argument of train_network, not a setting."""
 
     epochs: int
     batch_size: int
     learning_rate: float
     momentum: float = 0.9
-    mode: str = "standard"
-    seed: int = 0
     attack: AttackConfig | None = None
 
     def __post_init__(self):
@@ -83,12 +81,11 @@ class TrainConfig(Record):
             raise ValueError("learning_rate must be finite and non-negative")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must lie in [0, 1)")
-        if self.mode not in TRAIN_MODES:
-            raise ValueError(f"unknown training mode {self.mode!r}")
-        if self.mode == "pgd_adversarial" and self.attack is None:
-            raise ValueError("pgd_adversarial mode requires an attack config")
-        if self.mode == "standard" and self.attack is not None:
-            raise ValueError("standard mode takes no attack config")
+
+    @property
+    def mode(self) -> str:
+        """Follows the attack: "pgd_adversarial" when set, else "standard"."""
+        return "standard" if self.attack is None else "pgd_adversarial"
 
 
 @dataclass
@@ -125,11 +122,14 @@ def train_network(
     net: Network | NetworkStack,
     dataset: Dataset,
     cfg: TrainConfig,
+    seed: int,
 ) -> tuple[Network | NetworkStack, TrainingHistory]:
     """Train a copy of net, a network or a stack; the input is never mutated.
 
-    In pgd_adversarial mode every batch is replaced by PGD perturbations
-    generated against the current parameters before the gradient step.
+    seed draws the minibatch order and, mixed with the epoch and batch
+    index, each batch's PGD start.  With cfg.attack set every batch is
+    replaced by PGD perturbations generated against the current
+    parameters before the gradient step.
     The training split is checked for finiteness once, here (ValueError);
     after that, non-finite values mean divergence: a hidden pre-activation
     that is not finite, parameters that are NaN, infinite or past
@@ -153,7 +153,7 @@ def train_network(
     work = net.copy()
     vel = [(np.zeros_like(W), np.zeros_like(b))
            for W, b in zip(work.weights, work.biases)]
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     n = x_tr.shape[0]
     history = TrainingHistory([])
 
@@ -185,9 +185,9 @@ def train_network(
         out[alive] = values
         return out
 
-    def batch_grads(w, xb, yb, seed):
+    def batch_grads(w, xb, yb, pgd_seed):
         if cfg.mode == "pgd_adversarial":
-            xb = pgd_batch(w, xb, yb, cfg.attack, rng_seed=seed)
+            xb = pgd_batch(w, xb, yb, cfg.attack, rng_seed=pgd_seed)
         return grad_params_batch(w, xb, yb)
 
     for epoch in range(cfg.epochs):
@@ -196,8 +196,8 @@ def train_network(
         perm = rng.permutation(n)
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[start:start + cfg.batch_size]
-            xb, yb, seed = x_tr[idx], y_tr[idx], _mix(cfg.seed, epoch, bi)
-            grads = attempt(epoch, lambda w: batch_grads(w, xb, yb, seed))
+            xb, yb, pgd_seed = x_tr[idx], y_tr[idx], _mix(seed, epoch, bi)
+            grads = attempt(epoch, lambda w: batch_grads(w, xb, yb, pgd_seed))
             with np.errstate(over="ignore", invalid="ignore"):
                 for l, (g_w, g_b) in enumerate(grads):
                     v_w, v_b = vel[l]
@@ -218,11 +218,10 @@ def train_network(
 class SweepConfig(Record):
     """Grid over curvature targets, family indices beta and seeds.
 
-    The train field is the template for the adversarial half of each cell;
-    the standard twin reuses it with mode forced to standard.  Each cell
-    trains with its grid seed in place of train.seed, so train.seed has no
-    effect.  One dataset, generated once from (dataset, dataset_n,
-    dataset_seed), is shared by every cell.
+    The train field, which must set an attack, trains the adversarial half
+    of each cell; the standard twin reuses it without the attack.  Each
+    cell trains with its grid seed.  One dataset, generated once from
+    (dataset, dataset_n, dataset_seed), is shared by every cell.
     """
 
     curvature_targets: tuple[float, ...]
@@ -251,8 +250,8 @@ class SweepConfig(Record):
             raise ValueError("betas must be a nonempty subset of {0, 1, 2}")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
-        if self.train.mode != "pgd_adversarial":
-            raise ValueError("sweep train template must use pgd_adversarial mode")
+        if self.train.attack is None:
+            raise ValueError("sweep train template must set train.attack")
 
 
 def default_sweep_config() -> SweepConfig:
@@ -270,7 +269,6 @@ def default_sweep_config() -> SweepConfig:
             batch_size=16,
             learning_rate=0.08,
             momentum=0.9,
-            mode="pgd_adversarial",
             attack=AttackConfig(epsilon=0.25, step_size=0.0625, steps=10, random_start=True),
         ),
         eval_attack=DEFAULT_EVAL_ATTACK,
@@ -343,15 +341,13 @@ def run_cells(config: SweepConfig, dataset: Dataset, cells,
     def survivors(keys, history):
         return [k for i, k in enumerate(keys) if i not in history.diverged]
 
-    adv_cfg = replace(config.train, mode="pgd_adversarial",
-                      attack=config.train.attack, seed=seed)
-    net_adv, hist_adv = train_network(stack, dataset, adv_cfg)
+    net_adv, hist_adv = train_network(stack, dataset, config.train, seed)
     adv_keys = survivors(range(len(alphas)), hist_adv)
     clean = dict(zip(adv_keys, clean_accuracy(net_adv, x_te, y_te)))
     robust = dict(zip(adv_keys, robust_accuracy(net_adv, x_te, y_te, config.eval_attack,
                                                 rng_seed=seed)))
-    std_cfg = replace(config.train, mode="standard", attack=None, seed=seed)
-    net_std, hist_std = train_network(stack.take(adv_keys), dataset, std_cfg)
+    std_cfg = replace(config.train, attack=None)
+    net_std, hist_std = train_network(stack.take(adv_keys), dataset, std_cfg, seed)
     ok_keys = survivors(adv_keys, hist_std)
     std_clean = dict(zip(ok_keys, clean_accuracy(net_std, x_te, y_te)))
     diag = {k: dataset_diag_norm(net_std.member(i), dataset.x_train, dataset.y_train)

@@ -467,7 +467,7 @@ def test_10_attack_budget_and_fgsm_equivalence():
     dataset = make_dataset(two_moons(noise=0.04), 240, 7)
     base = init_network((2, 16, 16, 1), rct_af(7.0, 1), seed=1, scheme="xavier")
     trained, _ = train_network(base, dataset, TrainConfig(
-        epochs=10, batch_size=16, learning_rate=0.08, momentum=0.9, seed=0))
+        epochs=10, batch_size=16, learning_rate=0.08, momentum=0.9), 0)
     X, y = dataset.x_test, dataset.y_test
     attack = DEFAULT_EVAL_ATTACK
     seen_steps = []
@@ -566,9 +566,8 @@ def test_12_training_fit_limit_at_low_curvature(default_sweep_rows):
                 continue
             base = init_network(config.widths, rct_af(r.alpha, beta),
                                 seed=_mix(r.seed, beta), scheme="xavier")
-            std_cfg = dataclasses.replace(config.train, mode="standard",
-                                          attack=None, seed=r.seed)
-            net, history = train_network(base, dataset, std_cfg)
+            std_cfg = dataclasses.replace(config.train, attack=None)
+            net, history = train_network(base, dataset, std_cfg, r.seed)
             assert clean_accuracy(net, dataset.x_test, dataset.y_test) \
                 == r.std_clean_acc, f"rebuilt twin differs from cached row {r}"
             losses.append(history.train_loss[-1])

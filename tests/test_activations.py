@@ -250,6 +250,15 @@ def test_baseline_curvature_values():
     assert max_abs_d2(softplus()).max_abs_d2 == pytest.approx(0.25, rel=1e-9)
 
 
+@pytest.mark.parametrize("spec, beta", [(softplus(), 0), (swish(), 1)])
+def test_family_kinds_report_their_member_peak(spec, beta):
+    """softplus and swish are the family members (1, 0) and (1, 1), so
+    their peak is the member's closed form, not a searched estimate."""
+    prof, member = max_abs_d2(spec), max_abs_d2(rct_af(1.0, beta))
+    assert prof.spec == spec
+    assert (prof.argmax_x, prof.max_abs_d2) == (member.argmax_x, member.max_abs_d2)
+
+
 def test_relu_family_curvature_unbounded():
     for spec in (relu(), leaky_relu()):
         prof = max_abs_d2(spec)

@@ -223,8 +223,8 @@ class TestPgd:
     def test_pgd_dominates_fgsm_on_trained_net(self):
         ds = make_dataset(two_moons(noise=0.1), n=200, seed=5)
         net = init_network((2, 8, 1), rct_af(7.0, 1), seed=0)
-        cfg = TrainConfig(epochs=30, batch_size=16, learning_rate=0.1, seed=0)
-        trained, _ = train_network(net, ds, cfg)
+        cfg = TrainConfig(epochs=30, batch_size=16, learning_rate=0.1)
+        trained, _ = train_network(net, ds, cfg, 0)
         pgd_cfg = AttackConfig(epsilon=0.3, step_size=0.03, steps=20,
                                random_start=False)
         X, y = ds.x_test, ds.y_test

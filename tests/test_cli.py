@@ -291,6 +291,10 @@ class TestSweepAndPlot:
         ("train", "momentun", 0.5),
         ("eval_attack", "random_start", "false"),
         (None, "curvature_target", [7.0]),
+        # Keys of older configs: the attack now decides the mode, and each
+        # cell trains with its grid seed.
+        ("train", "mode", "pgd_adversarial"),
+        ("train", "seed", 0),
     ])
     def test_sweep_with_mistyped_config_returns_1(self, tmp_path, capsys,
                                                   section, key, value):

@@ -50,8 +50,6 @@ def train_configs(draw):
         batch_size=draw(st.integers(min_value=1, max_value=10**6)),
         learning_rate=draw(_non_negative),
         momentum=draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
-        mode="standard" if attack is None else "pgd_adversarial",
-        seed=draw(st.integers(min_value=0, max_value=2**63)),
         attack=attack,
     )
 

@@ -160,3 +160,12 @@ class TestRenderChart:
         svg = render_chart(spec)
         for text in ("robustness", "curvature bound", "accuracy", "beta=1"):
             assert text in svg
+
+    def test_markup_characters_in_text_stay_text(self):
+        spec = ChartSpec(title="a<b & c", x_label="x > 0", y_label="p & q",
+                         series=[Series("beta<1 & more", [1, 2], [1, 2])])
+        root, ns = _parse(render_chart(spec))
+        texts = [t.text for t in root.iter(f"{ns}text")]
+        assert texts[0] == "a<b & c"
+        for text in ("x > 0", "p & q", "beta<1 & more"):
+            assert text in texts

@@ -22,7 +22,6 @@ from curvact.network import flat_params, init_network, stack_networks
 import curvact.training
 from curvact.training import (
     SWEEP_COLUMNS,
-    TRAIN_MODES,
     SweepConfig,
     SweepResult,
     TrainConfig,
@@ -42,7 +41,7 @@ def _moons(n=120, seed=4, noise=0.1):
 
 
 def _quick_cfg(**overrides):
-    base = dict(epochs=3, batch_size=16, learning_rate=0.05, seed=1)
+    base = dict(epochs=3, batch_size=16, learning_rate=0.05)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -82,25 +81,23 @@ class TestTrainConfig:
             _quick_cfg(learning_rate=float("nan"))
         with pytest.raises(ValueError, match="momentum"):
             _quick_cfg(momentum=1.0)
-        with pytest.raises(ValueError, match="mode"):
-            _quick_cfg(mode="sgd")
 
-    def test_mode_and_attack_must_agree(self):
+    def test_mode_follows_attack(self):
         attack = AttackConfig(0.3, 0.075, 4, True)
-        with pytest.raises(ValueError, match="attack"):
-            _quick_cfg(mode="pgd_adversarial")
-        with pytest.raises(ValueError, match="attack"):
-            _quick_cfg(mode="standard", attack=attack)
-        _quick_cfg(mode="pgd_adversarial", attack=attack)
+        assert _quick_cfg().mode == "standard"
+        assert _quick_cfg(attack=attack).mode == "pgd_adversarial"
+        assert dataclasses.replace(_quick_cfg(attack=attack), attack=None).mode == "standard"
+        with pytest.raises(AttributeError):
+            _quick_cfg().mode = "pgd_adversarial"
 
     def test_round_trips_through_dict(self):
         attack = AttackConfig(0.3, 0.075, 4, True)
-        for cfg in (_quick_cfg(), _quick_cfg(mode="pgd_adversarial", attack=attack)):
+        for cfg in (_quick_cfg(), _quick_cfg(attack=attack)):
             assert TrainConfig.from_dict(cfg.to_dict()) == cfg
         assert "attack" not in _quick_cfg().to_dict()
 
     def test_from_dict_names_missing_fields(self):
-        with pytest.raises(ValueError, match="mode"):
+        with pytest.raises(ValueError, match="momentum"):
             TrainConfig.from_dict({"epochs": 1, "batch_size": 8,
                                    "learning_rate": 0.1})
 
@@ -109,7 +106,7 @@ class TestTrainNetwork:
     def test_zero_learning_rate_changes_nothing(self):
         ds = _moons()
         net = init_network((2, 5, 1), rct_af(7.0, 1), seed=2)
-        trained, history = train_network(net, ds, _quick_cfg(learning_rate=0.0))
+        trained, history = train_network(net, ds, _quick_cfg(learning_rate=0.0), 1)
         np.testing.assert_array_equal(flat_params(trained), flat_params(net))
         assert len(history.train_loss) == 3
 
@@ -117,36 +114,36 @@ class TestTrainNetwork:
         ds = _moons()
         net = init_network((2, 5, 1), rct_af(7.0, 1), seed=2)
         before = flat_params(net).copy()
-        train_network(net, ds, _quick_cfg())
+        train_network(net, ds, _quick_cfg(), 1)
         np.testing.assert_array_equal(flat_params(net), before)
 
     def test_history_has_one_entry_per_epoch(self):
         ds = _moons()
         net = init_network((2, 5, 1), rct_af(7.0, 1), seed=2)
-        _, history = train_network(net, ds, _quick_cfg(epochs=4))
+        _, history = train_network(net, ds, _quick_cfg(epochs=4), 1)
         assert len(history.train_loss) == 4
 
     def test_loss_drops_on_easy_data(self):
         ds = make_dataset(gaussian_blobs(separation=6.0), n=200, seed=9)
         net = init_network((2, 8, 1), rct_af(7.0, 1), seed=0)
-        _, history = train_network(net, ds, _quick_cfg(epochs=10))
+        _, history = train_network(net, ds, _quick_cfg(epochs=10), 1)
         assert history.train_loss[-1] < history.train_loss[0]
 
     def test_separable_blobs_reach_high_accuracy(self):
         ds = make_dataset(gaussian_blobs(separation=6.0), n=250, seed=11)
         net = init_network((2, 16, 1), rct_af(14.0, 1), seed=3)
-        cfg = TrainConfig(epochs=200, batch_size=32, learning_rate=0.05, seed=3)
-        trained, _ = train_network(net, ds, cfg)
+        cfg = TrainConfig(epochs=200, batch_size=32, learning_rate=0.05)
+        trained, _ = train_network(net, ds, cfg, 3)
         assert clean_accuracy(trained, ds.x_test, ds.y_test) >= 0.98
 
     def test_zero_budget_adversarial_equals_standard(self):
         ds = _moons()
         net = init_network((2, 6, 1), rct_af(10.0, 1), seed=5)
         zero = AttackConfig(epsilon=0.0, step_size=0.1, steps=3, random_start=True)
-        adv_cfg = _quick_cfg(mode="pgd_adversarial", attack=zero, epochs=4)
-        std_cfg = _quick_cfg(mode="standard", epochs=4)
-        net_adv, hist_adv = train_network(net, ds, adv_cfg)
-        net_std, hist_std = train_network(net, ds, std_cfg)
+        adv_cfg = _quick_cfg(attack=zero, epochs=4)
+        std_cfg = _quick_cfg(epochs=4)
+        net_adv, hist_adv = train_network(net, ds, adv_cfg, 1)
+        net_std, hist_std = train_network(net, ds, std_cfg, 1)
         np.testing.assert_array_equal(flat_params(net_adv), flat_params(net_std))
         assert hist_adv.train_loss == hist_std.train_loss
 
@@ -154,9 +151,9 @@ class TestTrainNetwork:
         ds = _moons()
         net = init_network((2, 6, 1), rct_af(10.0, 1), seed=5)
         attack = AttackConfig(0.25, 0.0625, 5, True)
-        cfg = _quick_cfg(mode="pgd_adversarial", attack=attack)
-        a, _ = train_network(net, ds, cfg)
-        b, _ = train_network(net, ds, cfg)
+        cfg = _quick_cfg(attack=attack)
+        a, _ = train_network(net, ds, cfg, 1)
+        b, _ = train_network(net, ds, cfg, 1)
         np.testing.assert_array_equal(flat_params(a), flat_params(b))
 
     def test_divergence_raises_with_epoch(self):
@@ -164,7 +161,7 @@ class TestTrainNetwork:
         net = init_network((2, 8, 1), rct_af(50.0, 2), seed=1)
         cfg = _quick_cfg(learning_rate=1e4, epochs=30)
         with pytest.raises(TrainingDivergedError) as exc:
-            train_network(net, ds, cfg)
+            train_network(net, ds, cfg, 1)
         assert isinstance(exc.value.epoch, int)
         assert 0 <= exc.value.epoch < 30
 
@@ -172,7 +169,7 @@ class TestTrainNetwork:
         ds = _moons()
         net = init_network((3, 5, 1), rct_af(7.0, 1), seed=0)
         with pytest.raises(ValueError, match="width"):
-            train_network(net, ds, _quick_cfg())
+            train_network(net, ds, _quick_cfg(), 1)
 
 
 class TestTrainStack:
@@ -183,16 +180,17 @@ class TestTrainStack:
     def _nets(self, widths=(2, 6, 5, 1)):
         return [init_network(widths, rct_af(a, 2), seed=7) for a in self.ALPHAS]
 
-    @pytest.mark.parametrize("mode", TRAIN_MODES)
+    @pytest.mark.parametrize("mode", ("standard", "pgd_adversarial"))
     def test_members_equal_solo_training(self, mode):
         ds = _moons()
         nets = self._nets()
         attack = AttackConfig(0.25, 0.0625, 4, True) if mode != "standard" else None
-        cfg = _quick_cfg(mode=mode, attack=attack)
-        trained, history = train_network(stack_networks(nets), ds, cfg)
+        cfg = _quick_cfg(attack=attack)
+        assert cfg.mode == mode
+        trained, history = train_network(stack_networks(nets), ds, cfg, 1)
         assert len(trained) == 3 and history.diverged == {}
         for k, net in enumerate(nets):
-            solo, solo_hist = train_network(net, ds, cfg)
+            solo, solo_hist = train_network(net, ds, cfg, 1)
             np.testing.assert_array_equal(flat_params(trained.member(k)), flat_params(solo))
             assert [e[k] for e in history.train_loss] == solo_hist.train_loss
 
@@ -204,15 +202,15 @@ class TestTrainStack:
         nets = self._nets((2, 4, 3, 1))
         nets[0].weights[0][:] = 1e200
         nets[0].weights[1][:] = 1e200
-        cfg = _quick_cfg(mode="pgd_adversarial", attack=AttackConfig(0.25, 0.0625, 4, True))
-        trained, history = train_network(stack_networks(nets), ds, cfg)
+        cfg = _quick_cfg(attack=AttackConfig(0.25, 0.0625, 4, True))
+        trained, history = train_network(stack_networks(nets), ds, cfg, 1)
         assert history.diverged == {0: 0}
         with pytest.raises(TrainingDivergedError) as exc:
-            train_network(nets[0], ds, cfg)
+            train_network(nets[0], ds, cfg, 1)
         assert exc.value.epoch == 0
         assert len(trained) == 2
         for i, net in enumerate(nets[1:]):
-            solo, solo_hist = train_network(net, ds, cfg)
+            solo, solo_hist = train_network(net, ds, cfg, 1)
             np.testing.assert_array_equal(flat_params(trained.member(i)), flat_params(solo))
             assert [e[i + 1] for e in history.train_loss] == solo_hist.train_loss
         assert all(math.isnan(e[0]) for e in history.train_loss)
@@ -220,7 +218,7 @@ class TestTrainStack:
     def test_a_stack_whose_members_all_diverge_comes_back_empty(self):
         ds = _moons()
         cfg = _quick_cfg(learning_rate=1e4, epochs=30)
-        trained, history = train_network(stack_networks(self._nets()), ds, cfg)
+        trained, history = train_network(stack_networks(self._nets()), ds, cfg, 1)
         assert len(trained) == 0 and sorted(history.diverged) == [0, 1, 2]
 
     def test_rejects_non_finite_training_data(self):
@@ -230,7 +228,7 @@ class TestTrainStack:
         bad = dataclasses.replace(ds, inputs=inputs)
         for net in (self._nets()[0], stack_networks(self._nets())):
             with pytest.raises(ValueError, match="finite"):
-                train_network(net, bad, _quick_cfg())
+                train_network(net, bad, _quick_cfg(), 1)
 
 
 class TestSweepConfig:
@@ -251,7 +249,7 @@ class TestSweepConfig:
     def test_train_template_must_be_adversarial(self):
         cfg = default_sweep_config()
         std = TrainConfig(epochs=2, batch_size=16, learning_rate=0.05)
-        with pytest.raises(ValueError, match="pgd_adversarial"):
+        with pytest.raises(ValueError, match=r"train\.attack"):
             dataclasses.replace(cfg, train=std)
 
     def test_round_trips_through_dict(self):
@@ -266,8 +264,8 @@ class TestSweepConfig:
             '"betas": [0, 1, 2], "seeds": [0, 1, 2, 3, 4], "widths": [2, 16, 16, 1], '
             '"dataset": {"kind": "two_moons", "noise": 0.04}, "dataset_n": 240, '
             '"dataset_seed": 7, "train": {"epochs": 40, "batch_size": 16, '
-            '"learning_rate": 0.08, "momentum": 0.9, "mode": "pgd_adversarial", "seed": 0, '
-            '"attack": {"epsilon": 0.25, "step_size": 0.0625, "steps": 10, '
+            '"learning_rate": 0.08, "momentum": 0.9, "attack": {'
+            '"epsilon": 0.25, "step_size": 0.0625, "steps": 10, '
             '"random_start": true}}, "eval_attack": {"epsilon": 0.25, '
             '"step_size": 0.015625, "steps": 40, "random_start": true}}')
 
@@ -277,9 +275,9 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="eval_attack"):
             SweepConfig.from_dict(data)
 
-    # Each bad input names the offending field.  momentum and seed have
-    # defaults in Python but are required in TrainConfig JSON, which
-    # to_dict has always written.
+    # Each bad input names the offending field.  momentum has a default in
+    # Python but is required in TrainConfig JSON, which to_dict has always
+    # written.
     @pytest.mark.parametrize("section, key, value, field", [
         ("train", "epochs", 40.5, "epochs"),
         ("train", "momentun", 0.5, "momentun"),
@@ -288,6 +286,10 @@ class TestSweepConfig:
         ("train", "momentum", None, "momentum"),
         ("dataset", "noise", "0.04", "noise"),
         ("train", "batch_size", True, "batch_size"),
+        # Keys of older configs: the attack now decides the mode, and each
+        # cell trains with its grid seed.
+        ("train", "mode", "pgd_adversarial", r"SweepConfig\.train\b.*'mode'"),
+        ("train", "seed", 0, r"SweepConfig\.train\b.*'seed'"),
     ])
     def test_from_dict_rejects_bad_input(self, section, key, value, field):
         data = default_sweep_config().to_dict()
@@ -295,12 +297,11 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match=field):
             SweepConfig.from_dict(data)
 
-    def test_train_json_requires_momentum_and_seed(self):
+    def test_train_json_requires_momentum(self):
         data = default_sweep_config().train.to_dict()
-        for key in ("momentum", "seed"):
-            partial = {k: v for k, v in data.items() if k != key}
-            with pytest.raises(ValueError, match=key):
-                TrainConfig.from_dict(partial)
+        del data["momentum"]
+        with pytest.raises(ValueError, match="momentum"):
+            TrainConfig.from_dict(data)
 
     def test_from_dict_accepts_integral_floats_and_int_rates(self):
         data = default_sweep_config().to_dict()
@@ -508,13 +509,13 @@ class TestRunSweep:
             base, curvature_targets=(0.5,), betas=(2,), seeds=(1,),
             train=dataclasses.replace(base.train, epochs=6, learning_rate=1.0))
         dataset = make_dataset(cfg.dataset, cfg.dataset_n, cfg.dataset_seed)
-        adv_cfg = dataclasses.replace(cfg.train, seed=1)
-        std_cfg = dataclasses.replace(adv_cfg, mode="standard", attack=None)
+        adv_cfg = cfg.train
+        std_cfg = dataclasses.replace(adv_cfg, attack=None)
         net = init_network(cfg.widths, rct_af(alpha_for_curvature(2, 0.5), 2),
                            seed=curvact.training._mix(1, 2), scheme="xavier")
-        train_network(net, dataset, adv_cfg)  # the adversarial net survives
+        train_network(net, dataset, adv_cfg, 1)  # the adversarial net survives
         with pytest.raises(TrainingDivergedError):
-            train_network(net, dataset, std_cfg)
+            train_network(net, dataset, std_cfg, 1)
         (result,) = run_sweep(cfg)
         assert result.status == "diverged"
         for name in ("clean_acc", "robust_acc", "diag_norm", "std_clean_acc"):
