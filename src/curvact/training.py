@@ -242,8 +242,8 @@ class SweepConfig(Record):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
         if not self.curvature_targets:
             raise ValueError("curvature_targets must be nonempty")
-        if any(c <= 0 for c in self.curvature_targets):
-            raise ValueError("curvature targets must be positive")
+        if not all(math.isfinite(c) and c > 0 for c in self.curvature_targets):
+            raise ValueError("curvature_targets must be finite and positive")
         if list(self.curvature_targets) != sorted(set(self.curvature_targets)):
             raise ValueError("curvature targets must be strictly increasing")
         if not self.betas or any(b not in (0, 1, 2) for b in self.betas):

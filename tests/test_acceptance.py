@@ -402,7 +402,7 @@ def test_07_sharpness_u_shape_over_curvature(default_sweep_rows):
     assert ok, msg
 
 
-def test_08_robustness_peak_at_intermediate_curvature(default_sweep_rows):
+def test_08_robustness_peak_at_intermediate_curvature(default_sweep_rows, tmp_path):
     def failing_betas(rows):
         out = []
         for beta in (0, 1, 2):
@@ -421,12 +421,13 @@ def test_08_robustness_peak_at_intermediate_curvature(default_sweep_rows):
     first = failing_betas(default_sweep_rows)
     if len(first) <= 1 and first:
         # The declared stochastic escape hatch: one failing curve triggers
-        # a rerun of the three compared curvatures with ten seeds.
+        # a rerun of the three compared curvatures with ten seeds.  It runs
+        # fresh every time, so no row of an older program version can mix
+        # into the verdict.
         config = dataclasses.replace(default_sweep_config(),
                                      curvature_targets=(0.5, 7.0, 50.0),
                                      seeds=tuple(range(10)))
-        rerun = run_sweep(config, results_path=_CACHE_DIR / "rerun_ten_seeds.csv",
-                          jobs=1, resume=True)
+        rerun = run_sweep(config, results_path=tmp_path / "rerun_ten_seeds.csv", jobs=1)
         second = failing_betas(rerun)
         ok = not second
         detail = (f"beta={first[0]} flat at 5 seeds; 10-seed rerun means at "
@@ -530,24 +531,20 @@ def test_11_bit_for_bit_determinism(default_sweep_rows):
 
 def test_sweep_grid_corners_reproduce_the_cache(default_sweep_rows):
     # Check 11 replays one mid-grid cell; these are the grid's corners.
-    # beta = 0 at low curvature is where diag_norm is most sensitive to
-    # rounding (fresh runs there have differed from the cache by a few
-    # ulps), so diag_norm is compared within 64 ulps, as the benchmark's
-    # cache gate does, and every other field exactly.
+    # Every field is compared exactly, diag_norm included, as check 11
+    # compares its cell.  Fresh runs once differed from the cache in
+    # diag_norm by a few ulps: the cache was stale, not the rounding
+    # unstable, and a fresh sweep reproduces itself bit for bit.
     config = default_sweep_config()
     dataset = make_dataset(config.dataset, config.dataset_n, config.dataset_seed)
+    strip = lambda r: dataclasses.replace(r, wall_time_s=0.0)
     for beta, curvature in ((0, 0.5), (2, 50.0)):
         fresh = run_cell(config, dataset, beta, curvature, 0)
         cached = next(r for r in default_sweep_rows
                       if (r.beta, r.curvature, r.seed) == (beta, curvature, 0))
-        for field in ("status", "alpha", "clean_acc", "robust_acc", "std_clean_acc"):
-            assert getattr(fresh, field) == getattr(cached, field), (
-                f"cell (beta={beta}, curvature={curvature}, seed=0): {field} "
-                f"{getattr(fresh, field)!r} vs cached {getattr(cached, field)!r}")
-        assert abs(fresh.diag_norm - cached.diag_norm) \
-            <= 64 * np.finfo(np.float64).eps * abs(cached.diag_norm), (
-                f"cell (beta={beta}, curvature={curvature}, seed=0): diag_norm "
-                f"{fresh.diag_norm!r} vs cached {cached.diag_norm!r}")
+        assert strip(fresh) == strip(cached), (
+            f"cell (beta={beta}, curvature={curvature}, seed=0): fresh {fresh} "
+            f"vs cached {cached}")
 
 
 def test_12_training_fit_limit_at_low_curvature(default_sweep_rows):

@@ -291,6 +291,10 @@ class TestSweepAndPlot:
         ("train", "momentun", 0.5),
         ("eval_attack", "random_start", "false"),
         (None, "curvature_target", [7.0]),
+        # json.load reads the tokens NaN and Infinity; the config is refused
+        # before the results file is opened.
+        (None, "curvature_targets", [float("nan")]),
+        (None, "curvature_targets", [float("inf")]),
         # Keys of older configs: the attack now decides the mode, and each
         # cell trains with its grid seed.
         ("train", "mode", "pgd_adversarial"),

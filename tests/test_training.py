@@ -286,6 +286,9 @@ class TestSweepConfig:
         ("train", "momentum", None, "momentum"),
         ("dataset", "noise", "0.04", "noise"),
         ("train", "batch_size", True, "batch_size"),
+        # json.load reads the tokens NaN and Infinity.
+        (None, "curvature_targets", [float("nan")], "curvature_targets"),
+        (None, "curvature_targets", [7.0, float("inf")], "curvature_targets"),
         # Keys of older configs: the attack now decides the mode, and each
         # cell trains with its grid seed.
         ("train", "mode", "pgd_adversarial", r"SweepConfig\.train\b.*'mode'"),
