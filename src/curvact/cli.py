@@ -188,7 +188,7 @@ def cmd_hessian_check(args) -> int:
     tol = args.tolerance
     explicit = load_network(args.net) if args.net is not None else None
     worst_err = 0.0
-    worst_ratio = 0.0
+    ratio_by_hidden: dict[int, float] = {}
     params_checked = 0
     closed_form_gaps = []
     ok = True
@@ -207,17 +207,23 @@ def cmd_hessian_check(args) -> int:
         worst_err = float(np.maximum(worst_err, err.max()))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(err == 0.0, 0.0, err / allowed)
-        worst_ratio = float(np.maximum(worst_ratio, ratio.max()))
+        hidden = net.depth - 1
+        ratio_by_hidden[hidden] = float(np.maximum(ratio_by_hidden.get(hidden, 0.0),
+                                                   ratio.max()))
         params_checked += exact.size
         if explicit is not None and net.depth == 2:
             closed_form_gaps.append(np.abs(exact - _single_layer_closed_form(net, x, y)).max())
     print(f"trials: {args.trials}")
     print(f"parameters checked: {params_checked}")
     print(f"max abs error vs finite differences: {worst_err:.3e}")
+    worst_ratio = float(np.max(list(ratio_by_hidden.values())))
     print(f"worst error relative to allowance: {worst_ratio:.3g}")
     print(f"tolerance: {tol!r}")
     if closed_form_gaps:
         print(f"single-layer closed form: max abs diff = {np.max(closed_form_gaps):.3e}")
+    for hidden, ratio in sorted(ratio_by_hidden.items()):
+        layers = "layer" if hidden == 1 else "layers"
+        print(f"worst error relative to allowance, {hidden} hidden {layers}: {ratio:.3g}")
     print(f"result: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 2
 

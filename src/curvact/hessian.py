@@ -55,15 +55,17 @@ import numpy as np
 from .network import (  # noqa: F401
     BatchTrace,
     Network,
+    NetworkStack,
     _as_row,
     batch_deltas,
     batch_deltas as backprop_deltas,
     flat_params,
     forward,
     forward_batch,
-    grad_params,
+    grad_params_batch,
     loss,
-    replace_params,
+    mean_loss,
+    stack_params,
 )
 
 FD_STEP = 1e-4  # step of hessian_diag_fd, hessian-check's loss oracle
@@ -71,6 +73,11 @@ FD_STEP = 1e-4  # step of hessian_diag_fd, hessian-check's loss oracle
 # Rows per block in dataset_diag_norm: enough to amortize the per-call
 # overhead while the (rows, parameters) working arrays stay small.
 _BLOCK_ROWS = 32
+
+# Bumped networks per block in the finite-difference oracles: one pass
+# over a block costs a handful of numpy calls, and its (members,
+# parameters) arrays keep memory O(block * p) for a net of any size.
+_FD_BLOCK = 256
 
 
 def _curvature_rows(net: Network, trace: BatchTrace,
@@ -144,36 +151,53 @@ def hessian_diag_exact(net: Network, x, y: float) -> HessianDiagReport:
                              normalized_diag_norm(diag[0]))
 
 
+def _fd_pairs(net: Network, h: float, evaluate) -> tuple[np.ndarray, np.ndarray]:
+    """evaluate at theta[k] + h and at theta[k] - h for every parameter k:
+    two length-p arrays.
+
+    The 2p bumped parameter vectors are the rows of one (2p, p) array, rows
+    2k and 2k + 1 holding theta[k] + h and theta[k] - h.  Each block of
+    _FD_BLOCK rows is one network stack sharing net's activation;
+    evaluate(stack, k) returns one value per member, where k is the index
+    each member bumps.  A member's value equals the same call on that
+    network alone bit for bit.
+    """
+    theta = flat_params(net)
+    rows = np.arange(2 * theta.size)
+    k = rows // 2
+    bumped = np.where(rows % 2 == 0, theta[k] + h, theta[k] - h)
+    vals = np.empty(rows.size)
+    for lo in range(0, rows.size, _FD_BLOCK):
+        blk = rows[lo:lo + _FD_BLOCK]
+        params = np.tile(theta, (blk.size, 1))
+        params[np.arange(blk.size), k[blk]] = bumped[blk]
+        vals[blk] = evaluate(stack_params(net, params), k[blk])
+    return vals[0::2], vals[1::2]
+
+
 def hessian_diag_fd(net: Network, x, y: float) -> np.ndarray:
     """Second central difference of the loss along each axis, step FD_STEP."""
     h = FD_STEP
-    theta = flat_params(net)
-    base = loss(net, x, y)
-    out = np.empty(theta.shape[0])
-    for k in range(theta.shape[0]):
-        bumped = theta.copy()
-        bumped[k] = theta[k] + h
-        up = loss(replace_params(net, bumped), x, y)
-        bumped[k] = theta[k] - h
-        down = loss(replace_params(net, bumped), x, y)
-        out[k] = (up - 2.0 * base + down) / (h * h)
-    return out
+    X, Y = _as_row(x), np.array([float(y)])
+    up, down = _fd_pairs(net, h, lambda stack, k: mean_loss(stack, X, Y))
+    return (up - 2.0 * loss(net, x, y) + down) / (h * h)
+
+
+def _own_grad_entry(stack: NetworkStack, X, Y, k: np.ndarray) -> np.ndarray:
+    """Entry k[s] of member s's flat loss gradient, for every member s."""
+    S = len(stack)
+    flat = np.concatenate([part.reshape(S, -1) for layer in grad_params_batch(stack, X, Y)
+                           for part in layer], axis=1)
+    return flat[np.arange(S), k]
 
 
 def hessian_diag_fd_grad(net: Network, x, y: float, h: float = 1e-5) -> np.ndarray:
     """First central difference of the analytic gradient; second oracle."""
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
-    theta = flat_params(net)
-    out = np.empty(theta.shape[0])
-    for k in range(theta.shape[0]):
-        bumped = theta.copy()
-        bumped[k] = theta[k] + h
-        up = grad_params(replace_params(net, bumped), x, y)[k]
-        bumped[k] = theta[k] - h
-        down = grad_params(replace_params(net, bumped), x, y)[k]
-        out[k] = (up - down) / (2.0 * h)
-    return out
+    X, Y = _as_row(x), np.array([float(y)])
+    up, down = _fd_pairs(net, h, lambda stack, k: _own_grad_entry(stack, X, Y, k))
+    return (up - down) / (2.0 * h)
 
 
 def normalized_diag_norm(diag) -> float:

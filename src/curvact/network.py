@@ -18,14 +18,18 @@ the batch shape; repeated evaluation of the same batch is always
 bit-identical.
 
 A NetworkStack holds S networks of one shape side by side, weights of
-shape (S, out, in), each with its own rct_af member of any beta.
-forward_batch, batch_deltas, grad_input_batch and grad_params_batch take
-a stack wherever they take a Network: inputs are shared, shape (n, in),
-or per member, shape (S, n, in), and results gain a leading member axis.
-Each member's results equal the same call on that member alone bit for
-bit, because every product and reduction runs per member on operands
-laid out as in the single-network call.  A plain Network runs the same
-code on 2-D arrays.
+shape (S, out, in).  Its hidden activation is either one rct_af member
+of any beta per network (the sweep's curvature stack, from
+stack_networks) or one ActivationSpec of any kind that every network
+shares (the finite-difference oracles' bumped copies of one net, from
+stack_params).  forward_batch, batch_deltas, mean_loss, grad_input_batch
+and grad_params_batch take a stack wherever they take a Network: inputs
+are shared, shape (n, in), or per member, shape (S, n, in), and results
+gain a leading member axis.  Each member's results equal the same call
+on that member alone bit for bit, because every product and reduction
+runs per member on operands laid out as in the single-network call, and
+every activation is evaluated element by element.  A plain Network runs
+the same code on 2-D arrays.
 """
 
 from __future__ import annotations
@@ -89,37 +93,40 @@ class Network(Record):
 
 @dataclass(eq=False)
 class NetworkStack:
-    """S networks of one shape whose hidden activations are rct_af
-    members: weights[l] is (S, out, in), biases[l] is (S, 1, out),
-    activation.alpha is (S, 1, 1) and activation.beta is (S,).  Build one
-    with stack_networks."""
+    """S networks of one shape: weights[l] is (S, out, in) and biases[l]
+    is (S, 1, out).  activation is a FamilyStack, one rct_af member per
+    network (alpha (S, 1, 1), beta (S,); build it with stack_networks),
+    or one ActivationSpec of any kind shared by every network (build it
+    with stack_params)."""
 
     widths: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: FamilyStack
+    activation: FamilyStack | ActivationSpec
 
     @property
     def depth(self) -> int:
         return len(self.widths) - 1
 
     def __len__(self) -> int:
-        return len(self.activation.alpha)
+        return len(self.weights[0])
 
     def member(self, k: int) -> Network:
         """Member k as a Network of its own."""
         a = self.activation
+        if isinstance(a, FamilyStack):
+            a = act.rct_af(float(a.alpha[k, 0, 0]), int(a.beta[k]))
         return Network(self.widths, [W[k].copy() for W in self.weights],
-                       [b[k, 0].copy() for b in self.biases],
-                       act.rct_af(float(a.alpha[k, 0, 0]), int(a.beta[k])))
+                       [b[k, 0].copy() for b in self.biases], a)
 
     def take(self, keep) -> "NetworkStack":
         """A stack of the members picked by an index array or boolean mask,
         possibly none."""
         a = self.activation
+        if isinstance(a, FamilyStack):
+            a = FamilyStack(a.alpha[keep], a.beta[keep])
         return NetworkStack(self.widths, [W[keep] for W in self.weights],
-                            [b[keep] for b in self.biases],
-                            FamilyStack(a.alpha[keep], a.beta[keep]))
+                            [b[keep] for b in self.biases], a)
 
     def copy(self) -> "NetworkStack":
         return self.take(np.arange(len(self)))
@@ -146,6 +153,24 @@ def stack_networks(nets) -> NetworkStack:
         [np.stack([net.biases[l][None, :] for net in nets]) for l in range(first.depth)],
         FamilyStack(alpha, [net.activation.beta for net in nets]),
     )
+
+
+def stack_params(net: Network, rows) -> NetworkStack:
+    """The stack whose member k has the flat parameters rows[k] (canonical
+    order) and net's widths and activation.  Its weights and biases are
+    views of rows."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != net.param_count:
+        raise ValueError(f"expected rows of {net.param_count} flat parameters")
+    S = rows.shape[0]
+    weights, biases, off = [], [], 0
+    for l in range(net.depth):
+        n_out, n_in = net.widths[l + 1], net.widths[l]
+        weights.append(rows[:, off:off + n_out * n_in].reshape(S, n_out, n_in))
+        off += n_out * n_in
+        biases.append(rows[:, off:off + n_out].reshape(S, 1, n_out))
+        off += n_out
+    return NetworkStack(net.widths, weights, biases, net.activation)
 
 
 def save_network(net: Network, path) -> None:
@@ -323,11 +348,4 @@ def replace_params(net: Network, vec) -> Network:
     vec = np.asarray(vec, dtype=np.float64)
     if vec.shape != (net.param_count,):
         raise ValueError(f"expected a flat vector of length {net.param_count}")
-    weights, biases, off = [], [], 0
-    for l in range(net.depth):
-        n_out, n_in = net.widths[l + 1], net.widths[l]
-        weights.append(vec[off:off + n_out * n_in].reshape(n_out, n_in))
-        off += n_out * n_in
-        biases.append(vec[off:off + n_out])
-        off += n_out
-    return Network(net.widths, weights, biases, net.activation)
+    return stack_params(net, vec[None, :]).member(0)

@@ -10,6 +10,7 @@ from curvact.network import (
     batch_deltas,
     flat_params,
     forward,
+    grad_params,
     init_network,
     loss,
     replace_params,
@@ -41,6 +42,23 @@ def fd_loss_diag(net, x, y, h=1e-4):
             - 2.0 * base
             + loss(replace_params(net, down), x, y)
         ) / (h * h)
+    return out
+
+
+def fd_grad_diag(net, x, y, h=1e-5):
+    """First central difference of the analytic gradient along each
+    parameter axis, one parameter at a time."""
+    theta = flat_params(net)
+    out = np.empty(theta.size)
+    for k in range(theta.size):
+        up = theta.copy()
+        up[k] += h
+        down = theta.copy()
+        down[k] -= h
+        out[k] = (
+            grad_params(replace_params(net, up), x, y)[k]
+            - grad_params(replace_params(net, down), x, y)[k]
+        ) / (2.0 * h)
     return out
 
 

@@ -10,6 +10,8 @@ numerical check, 3 I/O error.
 import csv
 import dataclasses
 import json
+import runpy
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -174,6 +176,24 @@ class TestHessianCheck:
         assert "max abs error vs finite differences: nan" in out
         assert "single-layer closed form: max abs diff = nan" in out
         assert "result: FAIL" in out
+
+    def test_reports_the_worst_error_per_depth(self, capsys):
+        # Seed 13 draws nets with one and two hidden layers and fails on
+        # a one-hidden-layer net; the verdict stays the last line.
+        code = main(["hessian-check", "--seed", "13"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert "worst error relative to allowance: 3.75" in lines
+        assert lines[-3:] == ["worst error relative to allowance, 1 hidden layer: 3.75",
+                              "worst error relative to allowance, 2 hidden layers: 0.118",
+                              "result: FAIL"]
+
+    def test_runs_as_python_dash_m(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["curvact", "hessian-check", "--trials", "2"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("curvact", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "result: PASS"
 
     def test_usage_errors(self, capsys):
         assert main(["hessian-check", "--trials", "0"]) == 1

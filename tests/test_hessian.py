@@ -19,6 +19,7 @@ import pytest
 
 import curvact.hessian as hess
 from curvact import activations as act
+from curvact import cli
 from curvact.activations import rct_af
 from curvact.errors import UnsupportedActivationError
 from curvact.hessian import (
@@ -35,7 +36,7 @@ from curvact.network import (
     init_network,
 )
 
-from helpers import fd_loss_diag, hessian_diag_full, random_sample, small_net
+from helpers import fd_grad_diag, fd_loss_diag, hessian_diag_full, random_sample, small_net
 
 
 def _random_net(rng, beta, alpha, depth_choices=(2, 3), max_width=8):
@@ -75,6 +76,46 @@ class TestAgainstFiniteDifferences:
         net = small_net()
         with pytest.raises(ValueError, match="positive"):
             hessian_diag_fd_grad(net, np.zeros(2), 1.0, h=-1e-5)
+
+
+def _same_bits(got, want):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestStackedOraclesEqualTheLoops:
+    """hessian_diag_fd and hessian_diag_fd_grad evaluate their 2p bumped
+    networks as network stacks; every entry equals the per-parameter loops
+    in the helpers bit for bit."""
+
+    def test_hessian_check_draws(self):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            for trial in range(20):
+                net = cli._random_check_net(rng, trial)
+                x = rng.normal(size=net.widths[0])
+                y = float(rng.choice((-1.0, 1.0)))
+                _same_bits(hessian_diag_fd(net, x, y), fd_loss_diag(net, x, y))
+                _same_bits(hessian_diag_fd_grad(net, x, y), fd_grad_diag(net, x, y))
+
+    @pytest.mark.parametrize("hidden", [1, 2, 3, 4])
+    @pytest.mark.parametrize("spec", [rct_af(7.0, 0), rct_af(7.0, 1), rct_af(28.0, 2),
+                                      act.relu(), act.leaky_relu(), act.elu(), act.gelu(),
+                                      act.swish(), act.mish(), act.softplus()],
+                             ids=lambda spec: spec.kind + ("" if spec.beta is None else str(spec.beta)))
+    def test_every_kind_and_depth(self, spec, hidden):
+        rng = np.random.default_rng(hidden)
+        net = init_network((3,) + tuple(int(w) for w in rng.integers(2, 6, hidden)) + (1,),
+                           spec, seed=hidden)
+        x, y = random_sample(rng, net)
+        _same_bits(hessian_diag_fd(net, x, y), fd_loss_diag(net, x, y))
+        _same_bits(hessian_diag_fd_grad(net, x, y, 2.5e-6), fd_grad_diag(net, x, y, 2.5e-6))
+
+    def test_more_bumped_networks_than_one_block(self):
+        net = init_network((2, 16, 16, 1), rct_af(6.0, 2), seed=3)
+        assert 2 * net.param_count > hess._FD_BLOCK
+        x, y = np.array([0.3, -1.1]), 1.0
+        _same_bits(hessian_diag_fd(net, x, y), fd_loss_diag(net, x, y))
+        _same_bits(hessian_diag_fd_grad(net, x, y), fd_grad_diag(net, x, y))
 
 
 class TestRecursionClosedForm:

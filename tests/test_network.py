@@ -28,6 +28,7 @@ from curvact.network import (
     replace_params,
     save_network,
     stack_networks,
+    stack_params,
 )
 
 from helpers import random_sample
@@ -470,6 +471,31 @@ def test_stack_members_round_trip():
     copy = stack.copy()
     copy.weights[0][0] += 1.0
     np.testing.assert_array_equal(flat_params(stack.member(0)), flat_params(nets[0]))
+
+
+def test_shared_activation_stack_round_trip():
+    """A stack built from flat parameter rows: every member shares the
+    net's activation, of any kind, and equals that net's own calls."""
+    net = init_network((3, 4, 5, 1), act.elu(), seed=2)
+    rng = np.random.default_rng(0)
+    rows = flat_params(net) + rng.normal(scale=0.1, size=(4, net.param_count))
+    stack = stack_params(net, rows)
+    assert len(stack) == 4 and stack.activation == act.elu()
+    X, y = rng.normal(size=(6, 3)), rng.choice([-1.0, 1.0], size=6)
+    g_par = grad_params_batch(stack, X, y)
+    for k in range(len(stack)):
+        member = stack.member(k)
+        assert member.activation == act.elu()
+        np.testing.assert_array_equal(flat_params(member), rows[k])
+        assert mean_loss(stack, X, y)[k] == mean_loss(member, X, y)
+        for (dW, db), (rW, rb) in zip(g_par, grad_params_batch(member, X, y)):
+            np.testing.assert_array_equal(_bits(dW[k]), _bits(rW))
+            np.testing.assert_array_equal(_bits(db[k, 0]), _bits(rb))
+    picked = stack.take([3, 1])
+    assert picked.activation == act.elu()
+    np.testing.assert_array_equal(flat_params(picked.member(0)), rows[3])
+    with pytest.raises(ValueError, match="flat parameters"):
+        stack_params(net, rows[:, :-1])
 
 
 def test_stack_networks_rejects_what_cannot_share_one_pass():
