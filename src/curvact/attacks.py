@@ -11,9 +11,11 @@ by one ulp.  All randomness is driven by an explicit non-negative integer
 seed: one call draws every row's random start from
 np.random.default_rng(seed).uniform(-epsilon, epsilon, X.shape), row i
 taking draws i*d to i*d + d - 1.  A row's start therefore depends only on
-the seed and its row index, not on how many rows follow it: the first k
-rows of a batch are attacked exactly as a k-row batch is, and pgd on one
-sample is row 0 of pgd_batch.  The members of a network stack attacked
+the seed and its row index, not on how many rows follow it.  Its input
+gradient may differ in the last bit with the batch shape, but an attack
+reads only its sign; the tests check that the first k rows of a batch are
+attacked as a k-row batch is, and pgd on one sample is row 0 of
+pgd_batch.  The members of a network stack attacked
 together share one random start: each member's iterate, shape (S, n, d)
 once the first step is taken, is bit for bit the one a solo attack on
 that member computes.
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import Network, NetworkStack, forward_batch, grad_input_batch
+from .network import _check_labels as _check_label_shape
 from .record import Record
 
 
@@ -77,8 +80,8 @@ def _check_finite(X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _check_labels(y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
+def _check_labels(X: np.ndarray, y) -> np.ndarray:
+    y = _check_label_shape(X, y)
     if not np.all(np.abs(y) == 1.0):
         raise ValueError("labels must be +1 or -1")
     return y
@@ -145,7 +148,8 @@ def _rate(ok: np.ndarray):
 
 
 def clean_accuracy(net: Network | NetworkStack, X, y):
-    y = _check_labels(y)
+    X = np.asarray(X, dtype=np.float64)
+    y = _check_labels(X, y)
     f = forward_batch(net, X).f
     return _rate(np.sign(f) == y)
 
@@ -162,7 +166,7 @@ def robust_accuracy(net: Network | NetworkStack, X, y, cfg: AttackConfig, rng_se
     epsilon = 0 the two views coincide and this equals clean accuracy.
     """
     X = np.asarray(X, dtype=np.float64)
-    y = _check_labels(y)
+    y = _check_labels(X, y)
     adv = pgd_batch(net, X, y, cfg, rng_seed, on_step)
     f_clean = forward_batch(net, X).f
     f_adv = forward_batch(net, adv).f

@@ -9,6 +9,7 @@ or input-format error, 2 numerical check failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -279,7 +280,9 @@ def cmd_plot(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built once per process: parse_args keeps no state between calls.
     # Each subcommand takes only the shared options it reads.
     output = _Parser(add_help=False)
     output.add_argument("--output", default=None,

@@ -15,7 +15,13 @@ BatchTrace; the per-sample forward returns it with a single row.  Rows
 of a larger batch may differ from the corresponding per-sample results
 in the last bit, because matrix-product accumulation order depends on
 the batch shape; repeated evaluation of the same batch is always
-bit-identical.
+bit-identical.  grad_input_batch splits a batch of more than 512 rows
+into blocks of 512 rows, so its rows past the first block are computed
+at the block's shape: on 16-wide layers they equal the unsplit pass
+except for a one-row tail block (n = 513, 1025, ...), while wider or
+uneven layers such as (2, 32, 8, 1) and (2, 64, 64, 1) can differ in
+the last bit past the first block, because OpenBLAS picks its kernel by
+call shape.
 
 A NetworkStack holds S networks of one shape side by side, weights of
 shape (S, out, in).  Its hidden activation is either one rct_af member
@@ -43,6 +49,13 @@ from . import activations as act
 from .activations import ActivationSpec, FamilyStack
 from .errors import NonFiniteError
 from .record import Record
+
+# Rows per grad_input_batch block.  On the default 16-wide layers each
+# (512, 16) temporary is 64 KiB, below glibc's mmap threshold, so PGD and
+# FGSM on large batches reuse heap memory instead of mapping (or trimming
+# and regrowing) and faulting in fresh pages on every step.  Counted in
+# rows, not elements, so the blocks do not depend on a stack's size.
+_GRAD_BLOCK_ROWS = 512
 
 
 @dataclass(eq=False)
@@ -229,6 +242,16 @@ def _check_batch(net: Network | NetworkStack, X) -> np.ndarray:
     return X
 
 
+def _check_labels(X: np.ndarray, y) -> np.ndarray:
+    """y as float64, one label per row of X, shared by every member of a
+    stack."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != X.shape[-2:-1]:
+        raise ValueError(f"labels of shape {y.shape} do not match inputs of shape "
+                         f"{X.shape}: expected one label per row")
+    return y
+
+
 def _as_row(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
@@ -289,8 +312,10 @@ def batch_deltas(net: Network | NetworkStack, trace: BatchTrace) -> list[np.ndar
 
 def mean_loss(net: Network | NetworkStack, X, y):
     """Mean squared loss over the rows: a float, or one per stack member."""
+    X = _check_batch(net, X)
+    y = _check_labels(X, y)
     f = forward_batch(net, X).f
-    diff = f - np.asarray(y, dtype=np.float64)
+    diff = f - y
     # The sum over the rows divided by their count is np.mean's own
     # arithmetic, bit for bit, without its per-call overhead, which the
     # one-row loss of the finite-difference oracle pays 2p + 1 times.
@@ -308,7 +333,7 @@ def grad_params_batch(net: Network | NetworkStack, X, y) -> list[tuple[np.ndarra
     """Per-layer (dW, db) gradients of the mean squared loss over the batch,
     shaped like the layer's weights and biases."""
     X = _check_batch(net, X)
-    y = np.asarray(y, dtype=np.float64)
+    y = _check_labels(X, y)
     bt = forward_batch(net, X, order=1)
     delta = batch_deltas(net, bt)
     resid = (bt.f - y)[..., None]
@@ -328,13 +353,32 @@ def grad_params(net: Network, x, y: float) -> np.ndarray:
     return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in per_layer])
 
 
-def grad_input_batch(net: Network | NetworkStack, X, y) -> np.ndarray:
-    """Gradient of each per-sample loss with respect to its input row."""
-    X = _check_batch(net, X)
-    y = np.asarray(y, dtype=np.float64)
+def _grad_input_block(net: Network | NetworkStack, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     bt = forward_batch(net, X, order=1)
     delta = batch_deltas(net, bt)
     return ((bt.f - y)[..., None] * delta[0]) @ net.weights[0]
+
+
+def grad_input_batch(net: Network | NetworkStack, X, y) -> np.ndarray:
+    """Gradient of each per-sample loss with respect to its input row.
+
+    A batch of more than _GRAD_BLOCK_ROWS (512) rows is evaluated in
+    blocks of that many rows, written into one output array; a smaller
+    batch is one pass.  A stack member sees the same blocks, and computes
+    the same bits, as its solo call.  Rows past the first block can
+    differ in the last bit from an unsplit pass (see the module
+    docstring).
+    """
+    X = _check_batch(net, X)
+    y = _check_labels(X, y)
+    n = X.shape[-2]
+    if n <= _GRAD_BLOCK_ROWS:
+        return _grad_input_block(net, X, y)
+    out = np.empty(net.weights[0].shape[:-2] + X.shape[-2:])
+    for lo in range(0, n, _GRAD_BLOCK_ROWS):
+        rows = slice(lo, lo + _GRAD_BLOCK_ROWS)
+        out[..., rows, :] = _grad_input_block(net, X[..., rows, :], y[rows])
+    return out
 
 
 def flat_params(net: Network) -> np.ndarray:

@@ -157,6 +157,20 @@ class TestPgd:
         pgd_batch(net, X, y, self.CFG, rng_seed=17, on_step=check)
         assert seen == list(range(self.CFG.steps))
 
+    def test_every_iterate_of_a_multi_block_batch_stays_in_ball(self):
+        # 1100 rows span three gradient blocks; the iterate is still one array.
+        net = init_network((2, 16, 16, 1), rct_af(10.0, 1), seed=1)
+        X, y = _moon_batch(n=1100)
+        seen = []
+
+        def check(step, cur):
+            seen.append(step)
+            assert cur.shape == X.shape
+            assert np.max(np.abs(cur - X)) <= self.CFG.epsilon
+
+        pgd_batch(net, X, y, self.CFG, rng_seed=17, on_step=check)
+        assert seen == list(range(self.CFG.steps))
+
     def test_result_within_ball_and_bounds(self):
         # The ball's per-element bounds clip a good share of the iterates,
         # which then sit exactly on them.

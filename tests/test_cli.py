@@ -17,6 +17,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from curvact import cli
 from curvact.activations import ActivationSpec, d1, d2, max_abs_d2, rct_af, value
 from curvact.cli import main
 from curvact.network import init_network, save_network
@@ -187,6 +188,20 @@ class TestHessianCheck:
         assert lines[-3:] == ["worst error relative to allowance, 1 hidden layer: 3.75",
                               "worst error relative to allowance, 2 hidden layers: 0.118",
                               "result: FAIL"]
+
+    def test_calls_in_one_process_parse_independently(self, tmp_path, capsys):
+        # The parser is built once per process; an option given to one call
+        # must not carry over to the next.
+        argv = ["hessian-check", "--trials", "2", "--seed", "1"]
+        assert main(argv) == 0
+        fresh = capsys.readouterr().out
+        path = tmp_path / "net.json"
+        save_network(init_network((3, 5, 1), rct_af(7.0, 1), seed=2), path)
+        assert main(argv + ["--net", str(path)]) == 0
+        assert "single-layer closed form" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == fresh
+        assert cli._build_parser() is cli._build_parser()
 
     def test_runs_as_python_dash_m(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["curvact", "hessian-check", "--trials", "2"])

@@ -2,6 +2,7 @@
 parameter and input gradients, serialization and batching."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from curvact import activations as act
 from curvact.activations import SubgradientWarning, d1, d2, rct_af, value
-from curvact.attacks import AttackConfig, clean_accuracy, fgsm, pgd_batch
+from curvact.attacks import AttackConfig, clean_accuracy, fgsm, pgd_batch, robust_accuracy
 from curvact.errors import NonFiniteError, UnsupportedActivationError
 from curvact.hessian import dataset_diag_norm, hessian_diag_exact, hessian_diag_fd
 from curvact.network import (
@@ -132,6 +133,33 @@ def test_forward_shape_errors():
         forward(net, np.zeros(3))
     with pytest.raises(ValueError):
         forward_batch(net, np.zeros((4, 3)))
+
+
+_LABELLED_CALLS = {
+    "mean_loss": mean_loss,
+    "grad_params_batch": grad_params_batch,
+    "grad_input_batch": grad_input_batch,
+    "pgd_batch": lambda net, X, y: pgd_batch(net, X, y, AttackConfig(0.1, 0.05, 2, True), 0),
+    "clean_accuracy": clean_accuracy,
+    "robust_accuracy": lambda net, X, y: robust_accuracy(
+        net, X, y, AttackConfig(0.1, 0.05, 2, True), 0),
+}
+
+
+@pytest.mark.parametrize("call", _LABELLED_CALLS.values(), ids=_LABELLED_CALLS.keys())
+@pytest.mark.parametrize("shape", [(1,), (4,), (6,), (5, 1), ()],
+                         ids=["1", "4", "6", "5x1", "scalar"])
+def test_labels_must_give_one_per_row(call, shape):
+    """Labels that numpy would broadcast against a 5-row batch are refused,
+    naming both shapes, on a network and on a stack."""
+    net = init_network((2, 3, 1), rct_af(4.0, 1), seed=0)
+    stack = stack_networks([net, init_network((2, 3, 1), rct_af(9.0, 1), seed=1)])
+    X = np.random.default_rng(0).normal(size=(5, 2))
+    for model in (net, stack):
+        with pytest.raises(ValueError, match=rf"labels of shape {re.escape(str(shape))} .*"
+                                             r"inputs of shape \(5, 2\)"):
+            call(model, X, np.ones(shape))
+        call(model, X, np.ones(5))
 
 
 def test_batch_forward_consistency():
@@ -457,6 +485,37 @@ def test_stack_calls_equal_member_calls_bitwise(betas, widths, n):
     for k, net in enumerate(nets):
         want = pgd_batch(net, shared, y, attack, rng_seed=5)
         np.testing.assert_array_equal(_bits(adv[k]), _bits(want))
+
+
+# 1100 rows are three grad_input_batch blocks, the last one ragged.
+_BLOCKED_ROWS = 1100
+
+
+def test_blocked_stack_gradient_equals_member_calls_bitwise():
+    nets = [init_network((2, 16, 16, 1), rct_af(_STACK_ALPHAS[k % 3], k // 2), seed=k)
+            for k in range(6)]
+    stack = stack_networks(nets)
+    rng = np.random.default_rng(3)
+    y = rng.choice([-1.0, 1.0], size=_BLOCKED_ROWS)
+    shared = rng.normal(size=(_BLOCKED_ROWS, 2))
+    per_member = rng.normal(size=(len(nets), _BLOCKED_ROWS, 2))
+    for X in (shared, per_member):
+        g = grad_input_batch(stack, X, y)
+        assert g.shape == (len(nets), _BLOCKED_ROWS, 2)
+        for k, net in enumerate(nets):
+            Xk = X if X.ndim == 2 else X[k]
+            np.testing.assert_array_equal(_bits(g[k]), _bits(grad_input_batch(net, Xk, y)))
+
+
+def test_blocked_gradient_is_the_concatenation_of_its_blocks():
+    net = init_network((2, 16, 16, 1), rct_af(14.0, 1), seed=4)
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(_BLOCKED_ROWS, 2))
+    y = rng.choice([-1.0, 1.0], size=_BLOCKED_ROWS)
+    parts = [grad_input_batch(net, X[lo:hi], y[lo:hi])
+             for lo, hi in ((0, 512), (512, 1024), (1024, _BLOCKED_ROWS))]
+    np.testing.assert_array_equal(_bits(grad_input_batch(net, X, y)),
+                                  _bits(np.concatenate(parts)))
 
 
 def test_stack_members_round_trip():
