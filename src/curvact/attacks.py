@@ -19,6 +19,17 @@ pgd_batch.  The members of a network stack attacked
 together share one random start: each member's iterate, shape (S, n, d)
 once the first step is taken, is bit for bit the one a solo attack on
 that member computes.
+
+A row whose projected step leaves its iterate unchanged bit for bit is at
+a fixed point: attacked every step, its next gradient comes from the same
+input at the same batch position, so it takes the same signs and the
+same clip on every later step.  A batch of more than one gradient block
+(512 rows) therefore drops such rows from its remaining steps, which is
+exact for them; below that a step costs per-call overhead, not rows, and
+every row takes every step.  The rows still moving are evaluated
+together at fewer rows, so they keep the sign-only caveat above about
+batch shape.  In a stack a row stays in while any member still moves
+it, and a member whose copy of the row has stopped keeps its iterate.
 pgd_batch, clean_accuracy and robust_accuracy take a stack wherever they
 take a Network; the accuracies then come back one per member.
 """
@@ -30,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Network, NetworkStack, forward_batch, grad_input_batch
+from .network import _GRAD_BLOCK_ROWS, Network, NetworkStack, forward_batch, grad_input_batch
+from .network import _check_batch
 from .network import _check_labels as _check_label_shape
 from .record import Record
 
@@ -103,7 +115,7 @@ def fgsm(net: Network, x, y, epsilon: float) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     g = grad_input_batch(net, x, y)
     lo, hi = _ball_bounds(x, epsilon)
-    return np.clip(x + epsilon * np.sign(g), lo, hi)
+    return np.minimum(np.maximum(x + epsilon * np.sign(g), lo), hi)
 
 
 def pgd_batch(
@@ -115,18 +127,41 @@ def pgd_batch(
     X.shape), clipped to the ball, so row i's start does not depend on the
     rows after it; a negative rng_seed raises ValueError.  The clean rows
     X are shared by every member of a stack; the bounds and the start are
-    computed once, and the returned iterate has shape (S, n, d).
+    computed once, and the returned iterate has shape (S, n, d).  Past 512
+    rows, rows at a fixed point take no further steps (module docstring);
+    on_step still sees every step's iterate as a fresh array.
     """
-    X = _check_finite(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64)
+    X = _check_batch(net, _check_finite(np.asarray(X, dtype=np.float64)))
+    y = _check_label_shape(X, y)
     lo, hi = _ball_bounds(X, cfg.epsilon)
     cur = X.copy()
     if cfg.random_start and cfg.epsilon > 0:
         start = np.random.default_rng(rng_seed).uniform(-cfg.epsilon, cfg.epsilon, X.shape)
-        cur = np.clip(cur + start, lo, hi)
+        # np.clip's bits on finite input, without its Python wrappers.
+        cur = np.minimum(np.maximum(cur + start, lo), hi)
+    # Past one gradient block: the rows still moving and, per member,
+    # whether each one moved in the last step.
+    rows = moved = None
+    if X.shape[-2] > _GRAD_BLOCK_ROWS:
+        rows, moved = np.arange(X.shape[-2]), np.ones(X.shape[-2], dtype=bool)
     for step in range(cfg.steps):
-        g = grad_input_batch(net, cur, y)
-        cur = np.clip(cur + cfg.step_size * np.sign(g), lo, hi)
+        if rows is None:
+            g = grad_input_batch(net, cur, y)
+            cur = np.minimum(np.maximum(cur + cfg.step_size * np.sign(g), lo), hi)
+        elif rows.size:
+            part = cur.take(rows, axis=-2)
+            g = grad_input_batch(net, part, y.take(rows))
+            new = np.minimum(np.maximum(part + cfg.step_size * np.sign(g),
+                                        lo.take(rows, axis=-2)), hi.take(rows, axis=-2))
+            if not moved.all():
+                new = np.where(moved[..., None], new, part)
+            moved = (new.view(np.int64) != part.view(np.int64)).any(axis=-1)
+            cur = np.broadcast_to(cur, new.shape[:-2] + cur.shape[-2:]).copy()
+            cur[..., rows, :] = new
+            keep = moved.reshape(-1, rows.size).any(axis=0)
+            rows, moved = rows[keep], moved[..., keep]
+        elif on_step is not None:
+            cur = cur.copy()
         if on_step is not None:
             on_step(step, cur)
     return cur

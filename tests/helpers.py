@@ -6,10 +6,12 @@ import numpy as np
 
 from curvact import activations as act
 from curvact.activations import rct_af
+from curvact.attacks import _ball_bounds
 from curvact.network import (
     batch_deltas,
     flat_params,
     forward,
+    grad_input_batch,
     grad_params,
     init_network,
     loss,
@@ -96,6 +98,24 @@ def hessian_diag_full(net, x, y):
         parts.append(np.outer(dl * dl + residual * curv[l], h_prev_sq).ravel())
         parts.append(dl * dl + residual * curv[l])
     return np.concatenate(parts)
+
+
+def pgd_reference(net, X, y, cfg, rng_seed, on_step=None):
+    """PGD in which every row takes every step: the step loop pgd_batch ran
+    before rows at a fixed point left it, kept verbatim as its reference."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    lo, hi = _ball_bounds(X, cfg.epsilon)
+    cur = X.copy()
+    if cfg.random_start and cfg.epsilon > 0:
+        start = np.random.default_rng(rng_seed).uniform(-cfg.epsilon, cfg.epsilon, X.shape)
+        cur = np.clip(cur + start, lo, hi)
+    for step in range(cfg.steps):
+        g = grad_input_batch(net, cur, y)
+        cur = np.clip(cur + cfg.step_size * np.sign(g), lo, hi)
+        if on_step is not None:
+            on_step(step, cur)
+    return cur
 
 
 def small_net(widths=(2, 3, 1), alpha=4.0, beta=1, seed=0):

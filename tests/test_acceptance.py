@@ -56,6 +56,7 @@ from curvact.training import (
     _mix,
     default_sweep_config,
     run_cell,
+    run_cells,
     run_sweep,
     train_network,
 )
@@ -394,11 +395,18 @@ def test_07_sharpness_u_shape_over_curvature(default_sweep_rows):
         floor = min(_mean(rows, beta, c, "diag_norm") for c in (4.0, 7.0, 10.0))
         ok &= left > floor and right > floor
         parts.append(f"beta={beta}: {left:.3f} / {floor:.3f} / {right:.3f}")
-    compute = sum(r.wall_time_s for r in rows)
+    # The cached wall_time_s times whichever run wrote the cache, so the
+    # compute bound times a group of the grid's corner cells run here and
+    # scales its per-cell time to the whole grid.
+    config = default_sweep_config()
+    dataset = make_dataset(config.dataset, config.dataset_n, config.dataset_seed)
+    group = run_cells(config, dataset, ((0, 0.5), (2, 50.0)), 0)
+    compute = sum(r.wall_time_s for r in group) * len(rows) / len(group)
     ok &= compute < 1800.0
     msg = _verdict(7, "sharpness u-shape over curvature", ok,
                    "standard twins, mean sharpness at 0.5 / min(4,7,10) / 50: "
-                   + "; ".join(parts) + f"; sweep compute {compute:.0f} s")
+                   + "; ".join(parts) + f"; sweep compute {compute:.0f} s "
+                   f"({len(rows)} cells at the per-cell time of a {len(group)}-cell group)")
     assert ok, msg
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import curvact.attacks as atk
-from curvact.activations import rct_af
+from curvact.activations import alpha_for_curvature, rct_af
 from curvact.attacks import (
     AttackConfig,
     clean_accuracy,
@@ -19,8 +19,9 @@ from curvact.attacks import (
     robust_accuracy,
 )
 from curvact.data import make_dataset, two_moons
-from curvact.network import forward_batch, init_network, loss, stack_networks
-from curvact.training import TrainConfig, train_network
+from curvact.network import forward_batch, grad_input_batch, init_network, loss, stack_networks
+from curvact.training import DEFAULT_EVAL_ATTACK, TrainConfig, train_network
+from helpers import pgd_reference
 
 
 def _linear_net(w, b=0.0):
@@ -342,3 +343,76 @@ def test_stack_attacks_equal_member_attacks_bitwise():
         np.testing.assert_array_equal(adv[k], pgd_batch(net, X, y, cfg, rng_seed=11))
         assert clean[k] == clean_accuracy(net, X, y)
         assert robust[k] == robust_accuracy(net, X, y, cfg, rng_seed=11)
+
+
+def _family_nets(cells, widths=(2, 16, 16, 1)):
+    """Untrained xavier nets, one per (beta, curvature) cell, as the sweep
+    initializes them."""
+    return [init_network(widths, rct_af(alpha_for_curvature(beta, c), beta), seed=k,
+                         scheme="xavier")
+            for k, (beta, c) in enumerate(cells)]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [513, 700, 1100])
+@pytest.mark.parametrize("stacked", [False, True], ids=["network", "stack"])
+@pytest.mark.parametrize("cfg", [
+    AttackConfig(0.3, 0.075, 10, True),
+    AttackConfig(0.3, 0.075, 10, False),
+    AttackConfig(0.0, 0.1, 5, True),
+    AttackConfig(0.3, 0.3, 1, True),
+], ids=["random-start", "no-random-start", "epsilon-0", "one-step"])
+def test_pgd_batch_equals_the_every_row_reference(n, stacked, cfg, monkeypatch):
+    """Past one gradient block, rows at a fixed point leave the loop; every
+    step's iterate still equals the one every row's stepping gives, bit for
+    bit, and a stack member still equals its solo attack."""
+    X, y = _moon_batch(n=n)
+    nets = _family_nets(((0, 0.5), (1, 7.0), (2, 50.0)))
+    net = stack_networks(nets) if stacked else nets[0]
+    want = []
+    ref = pgd_reference(net, X, y, cfg, 5, on_step=lambda s, cur: want.append(cur))
+    got, rows = [], []
+
+    def spy(net, X, y):
+        rows.append(X.shape[-2])
+        return grad_input_batch(net, X, y)
+
+    monkeypatch.setattr(atk, "grad_input_batch", spy)
+    out = pgd_batch(net, X, y, cfg, 5, on_step=lambda s, cur: got.append(cur))
+    np.testing.assert_array_equal(_bits(out), _bits(ref))
+    assert len(got) == len(want) == cfg.steps
+    for step, (a, b) in enumerate(zip(got, want)):
+        np.testing.assert_array_equal(_bits(a), _bits(b), err_msg=f"step {step}")
+        assert not any(np.shares_memory(a, c) for c in got[:step])
+    if cfg.epsilon == 0:
+        assert rows == [n]
+    elif cfg.steps > 1:
+        assert min(rows) < n
+    monkeypatch.undo()
+    if stacked:
+        for k, member in enumerate(nets):
+            np.testing.assert_array_equal(_bits(out[k]),
+                                          _bits(pgd_batch(member, X, y, cfg, 5)))
+
+
+def test_rows_at_a_fixed_point_stay_there():
+    """The property pgd_batch's skip rests on: in the every-row reference
+    on a 4096-row batch, a row whose iterate does not change in one step
+    does not change in any later step.  The eval attack on untrained nets
+    of every beta at the grid's lowest and highest curvature (alpha up to
+    200)."""
+    ds = make_dataset(two_moons(noise=0.1), n=5 * 4096, seed=7)
+    X, y = ds.x_test, ds.y_test
+    cells = [(beta, c) for beta in (0, 1, 2) for c in (0.5, 50.0)]
+    stack = stack_networks(_family_nets(cells))
+    assert max(stack.activation.alpha.ravel()) == 200.0
+    steps = []
+    pgd_reference(stack, X, y, DEFAULT_EVAL_ATTACK, 3, on_step=lambda s, cur: steps.append(cur))
+    steps = np.array(steps)
+    still = (_bits(steps[1:]) == _bits(steps[:-1])).all(axis=-1)  # (steps - 1, S, n)
+    stopped = np.logical_or.accumulate(still, axis=0)
+    np.testing.assert_array_equal(still, stopped)
+    assert np.all(stopped[-1].sum(axis=-1) > 0)
