@@ -9,16 +9,17 @@ projection clips to per-element bounds that are pre-corrected for
 rounding, so the recomputed offset x' - x never exceeds epsilon, not even
 by one ulp.  All randomness is driven by an explicit non-negative integer
 seed: one call draws every row's random start from
-np.random.default_rng(seed).uniform(-epsilon, epsilon, X.shape), row i
+np.random.default_rng(seed).uniform(-epsilon, epsilon, (n, d)), row i
 taking draws i*d to i*d + d - 1.  A row's start therefore depends only on
 the seed and its row index, not on how many rows follow it.  Its input
 gradient may differ in the last bit with the batch shape, but an attack
 reads only its sign; the tests check that the first k rows of a batch are
 attacked as a k-row batch is, and pgd on one sample is row 0 of
-pgd_batch.  The members of a network stack attacked
-together share one random start: each member's iterate, shape (S, n, d)
-once the first step is taken, is bit for bit the one a solo attack on
-that member computes.
+pgd_batch.  The members of a network stack attacked together share one
+(n, d) random start, whether they share the clean rows or each has its
+own: each member's iterate, shape (S, n, d) once the first step is
+taken, is bit for bit the one a solo attack on that member and its rows
+computes.
 
 A row whose projected step leaves its iterate unchanged bit for bit is at
 a fixed point: attacked every step, its next gradient comes from the same
@@ -124,19 +125,21 @@ def pgd_batch(
     """PGD over a batch of rows from one seeded random start.
 
     The start is np.random.default_rng(rng_seed).uniform(-epsilon, epsilon,
-    X.shape), clipped to the ball, so row i's start does not depend on the
-    rows after it; a negative rng_seed raises ValueError.  The clean rows
-    X are shared by every member of a stack; the bounds and the start are
-    computed once, and the returned iterate has shape (S, n, d).  Past 512
-    rows, rows at a fixed point take no further steps (module docstring);
-    on_step still sees every step's iterate as a fresh array.
+    (n, d)), clipped to the ball, so row i's start does not depend on the
+    rows after it; a negative rng_seed raises ValueError.  On a stack, X
+    holds rows shared by every member, shape (n, d), or one batch per
+    member, shape (S, n, d); either way every member takes the same
+    start, the bounds and the start are computed once, and the returned
+    iterate has shape (S, n, d).  Past 512 rows, rows at a fixed point
+    take no further steps (module docstring); on_step still sees every
+    step's iterate as a fresh array.
     """
     X = _check_batch(net, _check_finite(np.asarray(X, dtype=np.float64)))
     y = _check_label_shape(X, y)
     lo, hi = _ball_bounds(X, cfg.epsilon)
     cur = X.copy()
     if cfg.random_start and cfg.epsilon > 0:
-        start = np.random.default_rng(rng_seed).uniform(-cfg.epsilon, cfg.epsilon, X.shape)
+        start = np.random.default_rng(rng_seed).uniform(-cfg.epsilon, cfg.epsilon, X.shape[-2:])
         # np.clip's bits on finite input, without its Python wrappers.
         cur = np.minimum(np.maximum(cur + start, lo), hi)
     # Past one gradient block: the rows still moving and, per member,

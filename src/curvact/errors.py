@@ -12,9 +12,9 @@ class UnsupportedActivationError(CurvactError):
 class TrainingDivergedError(CurvactError):
     """Raised when a training run produces non-finite loss or parameters."""
 
-    def __init__(self, epoch: int, message: str | None = None):
+    def __init__(self, epoch: int):
         self.epoch = epoch
-        super().__init__(message or f"training diverged at epoch {epoch}")
+        super().__init__(f"training diverged at epoch {epoch}")
 
 
 class NonFiniteError(CurvactError, ValueError):

@@ -317,8 +317,9 @@ def mean_loss(net: Network | NetworkStack, X, y):
     f = forward_batch(net, X).f
     diff = f - y
     # The sum over the rows divided by their count is np.mean's own
-    # arithmetic, bit for bit, without its per-call overhead, which the
-    # one-row loss of the finite-difference oracle pays 2p + 1 times.
+    # arithmetic, bit for bit, without its per-call overhead.  Training
+    # calls this once per epoch, and the finite-difference oracle once per
+    # 256-member block and once more through the one-row loss.
     out = 0.5 * ((diff * diff).sum(axis=-1) / f.shape[-1])
     return float(out) if out.ndim == 0 else out
 
@@ -344,13 +345,6 @@ def grad_params_batch(net: Network | NetworkStack, X, y) -> list[tuple[np.ndarra
         grads.append((gscale.mT @ bt.h[l] / n,
                       gscale.mean(axis=-2).reshape(net.biases[l].shape)))
     return grads
-
-
-def grad_params(net: Network, x, y: float) -> np.ndarray:
-    """Flat gradient of the per-sample loss, in canonical parameter order."""
-    x = np.asarray(x, dtype=np.float64)
-    per_layer = grad_params_batch(net, x[None, :], np.array([float(y)]))
-    return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in per_layer])
 
 
 def _grad_input_block(net: Network | NetworkStack, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -385,11 +379,3 @@ def flat_params(net: Network) -> np.ndarray:
     return np.concatenate(
         [np.concatenate([net.weights[l].ravel(), net.biases[l]]) for l in range(net.depth)]
     )
-
-
-def replace_params(net: Network, vec) -> Network:
-    """Network with parameters taken from a flat vector (canonical order)."""
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (net.param_count,):
-        raise ValueError(f"expected a flat vector of length {net.param_count}")
-    return stack_params(net, vec[None, :]).member(0)

@@ -305,10 +305,6 @@ _METRICS = ("clean_acc", "robust_acc", "diag_norm", "std_clean_acc")
 _COLUMN_TYPES = typing.get_type_hints(SweepResult)
 
 
-def _cell_key(beta: int, curvature: float, seed: int) -> tuple[int, float, int]:
-    return (int(beta), float(curvature), int(seed))
-
-
 def run_cells(config: SweepConfig, dataset: Dataset, cells,
               seed: int) -> list[SweepResult]:
     """Train the adversarial network and its standard twin for the cells
@@ -394,31 +390,31 @@ def _complete_lines(path) -> str:
 
 
 def read_sweep_results(path) -> list[SweepResult]:
-    """Parse a sweep CSV, skipping an incomplete final line; raises
-    ResultsFormatError on missing columns or a malformed row.  A file
-    without the trailing std_clean_acc column reads with that metric NaN."""
-    reader = csv.DictReader(_complete_lines(path).splitlines(keepends=True))
-    header = reader.fieldnames or []
-    for col in SWEEP_COLUMNS[:-1]:
-        if col not in header:
-            raise ResultsFormatError(f"results file is missing column {col!r}")
+    """Parse a sweep CSV, skipping an incomplete final line.  The header
+    must be SWEEP_COLUMNS, in order; any other header raises
+    ResultsFormatError naming the path and the missing and extra columns.
+    Each row is parsed by position, and a row with another field count, a
+    field that does not parse, or an empty field outside the metrics is
+    a ResultsFormatError naming its line."""
+    reader = csv.reader(_complete_lines(path).splitlines(keepends=True))
+    header = next(reader, [])
+    if tuple(header) != SWEEP_COLUMNS:
+        missing = [c for c in SWEEP_COLUMNS if c not in header]
+        extra = [c for c in header if c not in SWEEP_COLUMNS]
+        raise ResultsFormatError(
+            f"results file {path} does not have the columns {','.join(SWEEP_COLUMNS)} "
+            f"in that order (missing {missing}, extra {extra})")
     out = []
     for row in reader:
         try:
-            if None in row or None in row.values():
-                raise ValueError(f"expected {len(header)} fields")
-            values = {}
-            for name, parse in _COLUMN_TYPES.items():
-                # Only the trailing std_clean_acc can be absent; it reads as NaN.
-                text = row.get(name, "")
-                if text == "" and name in _METRICS:
-                    values[name] = math.nan
-                else:
-                    values[name] = parse(text)
-            out.append(SweepResult(**values))
+            if len(row) != len(SWEEP_COLUMNS):
+                raise ValueError(f"expected {len(SWEEP_COLUMNS)} fields, got {len(row)}")
+            out.append(SweepResult(*(
+                math.nan if text == "" and name in _METRICS else _COLUMN_TYPES[name](text)
+                for name, text in zip(SWEEP_COLUMNS, row))))
         except ValueError as exc:
             raise ResultsFormatError(
-                f"results file line {reader.line_num} is malformed: {exc}") from None
+                f"results file {path} line {reader.line_num} is malformed: {exc}") from None
     return out
 
 
@@ -436,8 +432,9 @@ def run_sweep(
     rows are appended (and flushed) as groups finish; existing rows are
     honoured when resume is true, so a partial file picks up where it left
     off, and an interrupted group recomputes only its unfinished cells.
-    A file whose header is not SWEEP_COLUMNS is not resumed but left as it
-    is (ResultsFormatError).  jobs > 1 fans groups out to worker processes; when the last wave has
+    The existing rows are read by read_sweep_results, and a file it
+    refuses is not resumed but left as it is (its ResultsFormatError).
+    jobs > 1 fans groups out to worker processes; when the last wave has
     fewer groups than workers, each of its groups runs as one group per
     beta, so the workers share it.  Rows do not depend on the grouping, and
     the returned list is always in canonical grid order, whatever the order
@@ -451,16 +448,8 @@ def run_sweep(
     if results_path is not None:
         exists = os.path.exists(results_path) and os.path.getsize(results_path) > 0
         if resume and exists:
-            with open(results_path, "r", newline="", encoding="utf-8") as existing:
-                header = next(csv.reader(existing))
-            if tuple(header) != SWEEP_COLUMNS:
-                missing = [c for c in SWEEP_COLUMNS if c not in header]
-                extra = [c for c in header if c not in SWEEP_COLUMNS]
-                raise ResultsFormatError(
-                    f"cannot resume {results_path}: its columns differ from "
-                    f"{','.join(SWEEP_COLUMNS)} (missing {missing}, extra {extra})")
             for r in read_sweep_results(results_path):
-                done[_cell_key(r.beta, r.curvature, r.seed)] = r
+                done[r.beta, r.curvature, r.seed] = r
             size = len(_complete_lines(results_path).encode("utf-8"))
             if size < os.path.getsize(results_path):
                 # Cut an interrupted final row so new rows start on a line of their own.
@@ -473,7 +462,7 @@ def run_sweep(
     writer = csv.writer(fh) if fh is not None else None
 
     def record(result: SweepResult):
-        done[_cell_key(result.beta, result.curvature, result.seed)] = result
+        done[result.beta, result.curvature, result.seed] = result
         if writer is not None:
             writer.writerow(_result_row(result))
             fh.flush()
@@ -482,7 +471,7 @@ def run_sweep(
 
     by_seed: dict[int, list[tuple[int, float]]] = {}
     for b, c, s in cells:
-        if _cell_key(b, c, s) not in done:
+        if (b, c, s) not in done:
             by_seed.setdefault(s, []).append((b, c))
     groups = list(by_seed.items())
     if jobs > 1:
@@ -509,4 +498,4 @@ def run_sweep(
     finally:
         if fh is not None:
             fh.close()
-    return [done[_cell_key(*c)] for c in cells]
+    return [done[c] for c in cells]

@@ -12,11 +12,24 @@ from curvact.network import (
     flat_params,
     forward,
     grad_input_batch,
-    grad_params,
+    grad_params_batch,
     init_network,
     loss,
-    replace_params,
+    stack_params,
 )
+
+
+def grad_params(net, x, y):
+    """Flat gradient of the per-sample loss, in canonical parameter order."""
+    x = np.asarray(x, dtype=np.float64)
+    per_layer = grad_params_batch(net, x[None, :], np.array([float(y)]))
+    return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in per_layer])
+
+
+def replace_params(net, vec):
+    """The network with net's widths and activation and the flat parameters
+    vec (canonical order); stack_params refuses a vector of another length."""
+    return stack_params(net, np.asarray(vec, dtype=np.float64)[None, :]).member(0)
 
 
 def fd_first(fn, x, h=1e-5):

@@ -328,21 +328,26 @@ class TestRobustAccuracy:
 
 def test_stack_attacks_equal_member_attacks_bitwise():
     """One shared start and one set of ball bounds serve every member; each
-    member's iterate and accuracies are those of its own attack."""
-    X, y = _moon_batch(n=40)
+    member's iterate and accuracies are those of its own attack.  The rows
+    are shared, or past one gradient block each member has its own."""
     nets = [init_network((2, 8, 8, 1), rct_af(a, 2), seed=k)
             for k, a in enumerate((0.5, 14.0, 100.0))]
     stack = stack_networks(nets)
     cfg = AttackConfig(0.25, 0.0625, 5, True)
-    steps = []
-    adv = pgd_batch(stack, X, y, cfg, rng_seed=11, on_step=lambda s, cur: steps.append(cur))
-    assert adv.shape == (3, 40, 2) and len(steps) == cfg.steps
-    clean = clean_accuracy(stack, X, y)
-    robust = robust_accuracy(stack, X, y, cfg, rng_seed=11)
-    for k, net in enumerate(nets):
-        np.testing.assert_array_equal(adv[k], pgd_batch(net, X, y, cfg, rng_seed=11))
-        assert clean[k] == clean_accuracy(net, X, y)
-        assert robust[k] == robust_accuracy(net, X, y, cfg, rng_seed=11)
+    rows, labels = _moon_batch(n=700)
+    jitter = np.random.default_rng(8).normal(scale=0.05, size=(len(nets), 700, 2))
+    for X, y in (_moon_batch(n=40), (rows + jitter, labels)):
+        steps = []
+        adv = pgd_batch(stack, X, y, cfg, rng_seed=11,
+                        on_step=lambda s, cur: steps.append(cur))
+        assert adv.shape == (3, len(y), 2) and len(steps) == cfg.steps
+        clean = clean_accuracy(stack, X, y)
+        robust = robust_accuracy(stack, X, y, cfg, rng_seed=11)
+        for k, net in enumerate(nets):
+            Xk = X if X.ndim == 2 else X[k]
+            np.testing.assert_array_equal(adv[k], pgd_batch(net, Xk, y, cfg, rng_seed=11))
+            assert clean[k] == clean_accuracy(net, Xk, y)
+            assert robust[k] == robust_accuracy(net, Xk, y, cfg, rng_seed=11)
 
 
 def _family_nets(cells, widths=(2, 16, 16, 1)):

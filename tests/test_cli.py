@@ -288,16 +288,17 @@ class TestSweepAndPlot:
         assert "diag_norm" in err
 
     def test_plot_without_plottable_rows_fails(self, sweep_csv, tmp_path, capsys):
-        # A legacy file without the standard-training column parses fine
-        # but cannot feed the clean-accuracy chart.
+        # A file whose every row diverged parses fine but feeds no chart.
         _, results = sweep_csv
-        lines = results.read_text().strip().split("\n")
-        drop = lines[0].split(",").index("std_clean_acc")
-        legacy = tmp_path / "legacy.csv"
-        legacy.write_text("\n".join(
-            ",".join(v for i, v in enumerate(line.split(",")) if i != drop)
-            for line in lines) + "\n")
-        code = main(["plot", str(legacy), "--kind", "clean_vs_curvature"])
+        header, *lines = results.read_text().splitlines()
+        status = header.split(",").index("status")
+        rows = [line.split(",") for line in lines]
+        for row in rows:
+            row[status] = "diverged"
+        diverged = tmp_path / "diverged.csv"
+        diverged.write_text("\n".join([header, *(",".join(row) for row in rows)]) + "\n")
+        assert {r.status for r in read_sweep_results(diverged)} == {"diverged"}
+        code = main(["plot", str(diverged), "--kind", "clean_vs_curvature"])
         err = capsys.readouterr().err
         assert code == 1
         assert "no plottable rows" in err

@@ -32,11 +32,17 @@ from curvact.hessian import (
 from curvact.network import (
     ActivationSpec,
     forward,
-    grad_params,
     init_network,
 )
 
-from helpers import fd_grad_diag, fd_loss_diag, hessian_diag_full, random_sample, small_net
+from helpers import (
+    fd_grad_diag,
+    fd_loss_diag,
+    grad_params,
+    hessian_diag_full,
+    random_sample,
+    small_net,
+)
 
 
 def _random_net(rng, beta, alpha, depth_choices=(2, 3), max_width=8):

@@ -20,19 +20,17 @@ from curvact.network import (
     forward,
     forward_batch,
     grad_input_batch,
-    grad_params,
     grad_params_batch,
     init_network,
     load_network,
     loss,
     mean_loss,
-    replace_params,
     save_network,
     stack_networks,
     stack_params,
 )
 
-from helpers import random_sample
+from helpers import grad_params, random_sample, replace_params
 
 
 def hand_forward(net, x):
@@ -452,8 +450,8 @@ def test_stack_calls_equal_member_calls_bitwise(betas, widths, n):
     shared = rng.normal(size=(n, widths[0]))
     per_member = rng.normal(size=(len(nets), n, widths[0]))
     attack = AttackConfig(0.25, 0.0625, 3, True)
-    adv = pgd_batch(stack, shared, y, attack, rng_seed=5)
     for X in (shared, per_member):
+        adv = pgd_batch(stack, X, y, attack, rng_seed=5)
         traces = [forward_batch(stack, X, order=order) for order in (0, 1, 2)]
         bt = traces[2]
         deltas = batch_deltas(stack, bt)
@@ -482,9 +480,8 @@ def test_stack_calls_equal_member_calls_bitwise(betas, widths, n):
                 np.testing.assert_array_equal(_bits(dW[k]), _bits(rW))
                 np.testing.assert_array_equal(_bits(db[k, 0]), _bits(rb))
             assert losses[k] == mean_loss(net, Xk, y)
-    for k, net in enumerate(nets):
-        want = pgd_batch(net, shared, y, attack, rng_seed=5)
-        np.testing.assert_array_equal(_bits(adv[k]), _bits(want))
+            want = pgd_batch(net, Xk, y, attack, rng_seed=5)
+            np.testing.assert_array_equal(_bits(adv[k]), _bits(want))
 
 
 # 1100 rows are three grad_input_batch blocks, the last one ragged.

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from curvact import cli
 from curvact.activations import alpha_for_curvature, rct_af
 from curvact.attacks import AttackConfig, clean_accuracy
 from curvact.data import gaussian_blobs, make_dataset, two_moons
@@ -415,9 +416,11 @@ class TestRunSweep:
         (SWEEP_COLUMNS + ("hess_lmax",), [], ["hess_lmax"]),
         (SWEEP_COLUMNS[1:] + SWEEP_COLUMNS[:1], [], []),
     ])
-    def test_resume_refuses_a_file_with_other_columns(self, tmp_path, header, missing, extra):
+    def test_resume_refuses_a_file_with_other_columns(self, tmp_path, capsys, header,
+                                                       missing, extra):
         """Appending rows under another header would leave a file that no
-        longer reads; the resume stops before it writes or truncates."""
+        longer reads; the resume stops before it writes or truncates.  The
+        reader and curvact plot refuse the same headers with the same error."""
         path = tmp_path / "results.csv"
         values = dict(zip(SWEEP_COLUMNS, ["1", "7.0", "14.0", "3", "0.9", "0.8", "0.1",
                                           "1.5", "ok", "0.9"]), hess_lmax="2.0")
@@ -426,11 +429,20 @@ class TestRunSweep:
             fh.write(",".join(values[c] for c in header) + "\n")
             fh.write("1,7.0")  # an interrupted final row
         content = path.read_bytes()
-        with pytest.raises(ResultsFormatError, match="cannot resume") as info:
+        with pytest.raises(ResultsFormatError, match="does not have the columns") as info:
             run_sweep(_tiny_sweep(), results_path=path, resume=True)
-        assert f"missing {missing}, extra {extra}" in str(info.value)
+        message = str(info.value)
+        assert str(path) in message
+        assert f"missing {missing}, extra {extra}" in message
+        with pytest.raises(ResultsFormatError) as read:
+            read_sweep_results(path)
+        assert str(read.value) == message
+        svg = tmp_path / "plot.svg"
+        assert cli.main(["plot", str(path), "--kind", "robustness_vs_curvature",
+                         "--output", str(svg)]) == 1
+        assert message in capsys.readouterr().err
+        assert not svg.exists()
         assert path.read_bytes() == content
-        assert len(read_sweep_results(path)) == 1
 
     def test_committed_cache_is_written_back_byte_for_byte(self, tmp_path, monkeypatch):
         """Every committed row, read and then written by the sweep, keeps its bytes."""
@@ -626,17 +638,6 @@ class TestRunSweep:
                              "robust_acc", "wall_time_s", "status"])
         with pytest.raises(ResultsFormatError, match="diag_norm"):
             read_sweep_results(path)
-
-    def test_reads_legacy_rows_without_std_clean_column(self, tmp_path):
-        path = tmp_path / "legacy.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["beta", "curvature", "alpha", "seed", "clean_acc",
-                             "robust_acc", "diag_norm", "wall_time_s", "status"])
-            writer.writerow([1, 7.0, 2.0, 0, 0.9, 0.8, 0.1, 1.5, "ok"])
-        loaded = read_sweep_results(path)
-        assert loaded[0].clean_acc == 0.9
-        assert math.isnan(loaded[0].std_clean_acc)
 
     def test_small_curvature_extremes_show_u_shape(self):
         # Reduced sweep named in the library docs: means of the standard
