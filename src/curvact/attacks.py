@@ -194,20 +194,13 @@ def clean_accuracy(net: Network | NetworkStack, X, y):
 
 def robust_accuracy(net: Network | NetworkStack, X, y, cfg: AttackConfig, rng_seed: int,
                     on_step=None):
-    """Accuracy against the worse (by loss) of each sample's clean and
-    attacked views.
-
-    Falling back to the clean view when the attack fails to raise the loss
-    removes attack-failure noise; requiring the clean view to be correct as
-    well keeps robust accuracy <= clean accuracy exactly, even when a
-    higher-loss candidate happens to overshoot onto the correct side.  With
-    epsilon = 0 the two views coincide and this equals clean accuracy.
+    """Share of rows classified correctly both clean and after pgd_batch's
+    attack, sign(f(x)) == y and sign(f(x_adv)) == y, as in Madry et al.
+    (ICLR 2018).  So it never exceeds clean accuracy, and with epsilon = 0
+    it equals clean accuracy.
     """
     X = np.asarray(X, dtype=np.float64)
     y = _check_labels(X, y)
     adv = pgd_batch(net, X, y, cfg, rng_seed, on_step)
-    f_clean = forward_batch(net, X).f
-    f_adv = forward_batch(net, adv).f
-    f_worst = np.where((f_adv - y) ** 2 >= (f_clean - y) ** 2, f_adv, f_clean)
-    ok = (np.sign(f_clean) == y) & (np.sign(f_worst) == y)
+    ok = (np.sign(forward_batch(net, X).f) == y) & (np.sign(forward_batch(net, adv).f) == y)
     return _rate(ok)

@@ -255,21 +255,15 @@ def cmd_sweep(args) -> int:
 def cmd_plot(args) -> int:
     metric, y_label, title = PLOT_KINDS[args.kind]
     rows = read_sweep_results(args.results)
-    series = []
-    for beta in sorted({r.beta for r in rows}):
-        xs, ys = [], []
-        for curv in sorted({r.curvature for r in rows if r.beta == beta}):
-            vals = [
-                getattr(r, metric)
-                for r in rows
-                if r.beta == beta and r.curvature == curv and r.status == "ok"
-                and not math.isnan(getattr(r, metric))
-            ]
-            if vals:
-                xs.append(curv)
-                ys.append(sum(vals) / len(vals))
-        if xs:
-            series.append(Series(label=f"beta={beta}", x=xs, y=ys))
+    # beta -> curvature -> the ok, non-NaN values, in file order.
+    groups: dict[int, dict[float, list[float]]] = {}
+    for r in rows:
+        v = getattr(r, metric)
+        if r.status == "ok" and not math.isnan(v):
+            groups.setdefault(r.beta, {}).setdefault(r.curvature, []).append(v)
+    series = [Series(label=f"beta={beta}", x=sorted(by_curv),
+                     y=[sum(by_curv[c]) / len(by_curv[c]) for c in sorted(by_curv)])
+              for beta, by_curv in sorted(groups.items())]
     if not series:
         raise ResultsFormatError(f"no plottable rows for metric {metric!r}")
     chart = ChartSpec(title=title, x_label="activation curvature max |d2|",

@@ -230,8 +230,8 @@ class BatchTrace:
     z: list[np.ndarray]
     h: list[np.ndarray]
     f: np.ndarray
-    d1: list[np.ndarray] | None = None
-    d2: list[np.ndarray] | None = None
+    d1: list[np.ndarray] | None
+    d2: list[np.ndarray] | None
 
 
 def _check_batch(net: Network | NetworkStack, X) -> np.ndarray:

@@ -26,7 +26,7 @@ import os
 import time
 import typing
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -99,7 +99,7 @@ class TrainingHistory:
     """
 
     train_loss: list
-    diverged: dict[int, int] = field(default_factory=dict)
+    diverged: dict[int, int]
 
 
 # Parameters past this magnitude overflow float64 within a step or two;
@@ -155,7 +155,7 @@ def train_network(
            for W, b in zip(work.weights, work.biases)]
     rng = np.random.default_rng(seed)
     n = x_tr.shape[0]
-    history = TrainingHistory([])
+    history = TrainingHistory([], {})
 
     def drop(bad, epoch):
         nonlocal work, vel, alive
@@ -333,33 +333,27 @@ def run_cells(config: SweepConfig, dataset: Dataset, cells,
                                         seed=_mix(seed, beta), scheme="xavier")
                            for a, (beta, _) in zip(alphas, cells))
     x_te, y_te = dataset.x_test, dataset.y_test
-
-    def survivors(keys, history):
-        return [k for i, k in enumerate(keys) if i not in history.diverged]
-
+    n = len(cells)
+    table = {name: np.full(n, np.nan) for name in _METRICS}
     net_adv, hist_adv = train_network(stack, dataset, config.train, seed)
-    adv_keys = survivors(range(len(alphas)), hist_adv)
-    clean = dict(zip(adv_keys, clean_accuracy(net_adv, x_te, y_te)))
-    robust = dict(zip(adv_keys, robust_accuracy(net_adv, x_te, y_te, config.eval_attack,
-                                                rng_seed=seed)))
+    adv = np.delete(np.arange(n), list(hist_adv.diverged))
+    table["clean_acc"][adv] = clean_accuracy(net_adv, x_te, y_te)
+    table["robust_acc"][adv] = robust_accuracy(net_adv, x_te, y_te, config.eval_attack,
+                                               rng_seed=seed)
     std_cfg = replace(config.train, attack=None)
-    net_std, hist_std = train_network(stack.take(adv_keys), dataset, std_cfg, seed)
-    ok_keys = survivors(adv_keys, hist_std)
-    std_clean = dict(zip(ok_keys, clean_accuracy(net_std, x_te, y_te)))
-    diag = {k: dataset_diag_norm(net_std.member(i), dataset.x_train, dataset.y_train)
-            for i, k in enumerate(ok_keys)}
-    wall = (time.perf_counter() - start) / len(alphas)
-    rows = []
-    for k, ((beta, curvature), alpha) in enumerate(zip(cells, alphas)):
-        if k in diag:
-            metrics = dict(clean_acc=float(clean[k]), robust_acc=float(robust[k]),
-                           diag_norm=diag[k], std_clean_acc=float(std_clean[k]))
-        else:
-            metrics = dict.fromkeys(_METRICS, math.nan)
-        rows.append(SweepResult(beta=beta, curvature=float(curvature), alpha=alpha,
-                                seed=seed, wall_time_s=wall,
-                                status="ok" if k in diag else "diverged", **metrics))
-    return rows
+    net_std, hist_std = train_network(stack.take(adv), dataset, std_cfg, seed)
+    both = np.delete(adv, list(hist_std.diverged))
+    table["std_clean_acc"][both] = clean_accuracy(net_std, x_te, y_te)
+    table["diag_norm"][both] = [dataset_diag_norm(net_std.member(i), dataset.x_train,
+                                                  dataset.y_train) for i in range(len(both))]
+    ok = np.isin(np.arange(n), both)
+    for column in table.values():
+        column[~ok] = np.nan  # a diverged twin voids its cell's every metric
+    wall = (time.perf_counter() - start) / n
+    return [SweepResult(beta=beta, curvature=float(curvature), alpha=alpha, seed=seed,
+                        wall_time_s=wall, status="ok" if ok[k] else "diverged",
+                        **{name: float(table[name][k]) for name in _METRICS})
+            for k, ((beta, curvature), alpha) in enumerate(zip(cells, alphas))]
 
 
 def run_cell(config: SweepConfig, dataset: Dataset, beta: int, curvature: float,

@@ -115,13 +115,16 @@ def hessian_diag_full(net, x, y):
 
 def pgd_reference(net, X, y, cfg, rng_seed, on_step=None):
     """PGD in which every row takes every step: the step loop pgd_batch ran
-    before rows at a fixed point left it, kept verbatim as its reference."""
+    before rows at a fixed point left it, kept as its reference.  Like
+    pgd_batch, it draws one (n, d) start that every member of a stack
+    shares, whether the rows are shared or per member."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     lo, hi = _ball_bounds(X, cfg.epsilon)
     cur = X.copy()
     if cfg.random_start and cfg.epsilon > 0:
-        start = np.random.default_rng(rng_seed).uniform(-cfg.epsilon, cfg.epsilon, X.shape)
+        start = np.random.default_rng(rng_seed).uniform(-cfg.epsilon, cfg.epsilon,
+                                                        X.shape[-2:])
         cur = np.clip(cur + start, lo, hi)
     for step in range(cfg.steps):
         g = grad_input_batch(net, cur, y)

@@ -19,7 +19,14 @@ from curvact.attacks import (
     robust_accuracy,
 )
 from curvact.data import make_dataset, two_moons
-from curvact.network import forward_batch, grad_input_batch, init_network, loss, stack_networks
+from curvact.network import (
+    NetworkStack,
+    forward_batch,
+    grad_input_batch,
+    init_network,
+    loss,
+    stack_networks,
+)
 from curvact.training import DEFAULT_EVAL_ATTACK, TrainConfig, train_network
 from helpers import pgd_reference
 
@@ -309,14 +316,26 @@ class TestRobustAccuracy:
         monkeypatch.setattr(atk, "pgd_batch", lambda *a, **k: np.array([[2.5]]))
         assert robust_accuracy(net, X, y, TestPgd.CFG, rng_seed=0) == 0.0
 
-    def test_failed_attack_falls_back_to_clean_view(self, monkeypatch):
-        # The attacked view has a lower loss than the clean one, so the
-        # clean view is what gets scored.
+    def test_attack_that_leaves_the_row_correct_keeps_it_robust(self, monkeypatch):
+        # Both views are on the correct side, so the row counts.
         net = _linear_net([1.0])
         X = np.array([[0.9]])
         y = np.array([1.0])
         monkeypatch.setattr(atk, "pgd_batch", lambda *a, **k: np.array([[0.95]]))
         assert robust_accuracy(net, X, y, TestPgd.CFG, rng_seed=0) == 1.0
+
+    def test_flipped_row_is_not_robust_behind_an_overconfident_clean_view(self, monkeypatch):
+        # f = 3.5 clean and f = -0.5 attacked, inside the ball: the attacked
+        # view has the lower squared loss (2.25 against 6.25), yet the
+        # attack flipped the sign, so the row does not count.
+        net = _linear_net([20.0])
+        X = np.array([[0.175]])
+        y = np.array([1.0])
+        adv = np.array([[-0.025]])
+        assert np.abs(adv - X).max() <= TestPgd.CFG.epsilon
+        assert forward_batch(net, X).f[0] == 3.5 and forward_batch(net, adv).f[0] == -0.5
+        monkeypatch.setattr(atk, "pgd_batch", lambda *a, **k: adv)
+        assert robust_accuracy(net, X, y, TestPgd.CFG, rng_seed=0) == 0.0
 
     def test_deterministic_for_fixed_seed(self):
         net = init_network((2, 8, 1), rct_af(10.0, 1), seed=9)
@@ -363,20 +382,23 @@ def _bits(a):
 
 
 @pytest.mark.parametrize("n", [513, 700, 1100])
-@pytest.mark.parametrize("stacked", [False, True], ids=["network", "stack"])
+@pytest.mark.parametrize("model", ["network", "stack", "per-member"])
 @pytest.mark.parametrize("cfg", [
     AttackConfig(0.3, 0.075, 10, True),
     AttackConfig(0.3, 0.075, 10, False),
     AttackConfig(0.0, 0.1, 5, True),
     AttackConfig(0.3, 0.3, 1, True),
 ], ids=["random-start", "no-random-start", "epsilon-0", "one-step"])
-def test_pgd_batch_equals_the_every_row_reference(n, stacked, cfg, monkeypatch):
+def test_pgd_batch_equals_the_every_row_reference(n, model, cfg, monkeypatch):
     """Past one gradient block, rows at a fixed point leave the loop; every
     step's iterate still equals the one every row's stepping gives, bit for
-    bit, and a stack member still equals its solo attack."""
+    bit, and a stack member still equals its solo attack, on shared rows
+    and on rows of its own."""
     X, y = _moon_batch(n=n)
     nets = _family_nets(((0, 0.5), (1, 7.0), (2, 50.0)))
-    net = stack_networks(nets) if stacked else nets[0]
+    net = nets[0] if model == "network" else stack_networks(nets)
+    if model == "per-member":
+        X = X + np.random.default_rng(8).normal(scale=0.05, size=(len(nets),) + X.shape)
     want = []
     ref = pgd_reference(net, X, y, cfg, 5, on_step=lambda s, cur: want.append(cur))
     got, rows = [], []
@@ -397,10 +419,11 @@ def test_pgd_batch_equals_the_every_row_reference(n, stacked, cfg, monkeypatch):
     elif cfg.steps > 1:
         assert min(rows) < n
     monkeypatch.undo()
-    if stacked:
+    if model != "network":
         for k, member in enumerate(nets):
+            Xk = X if X.ndim == 2 else X[k]
             np.testing.assert_array_equal(_bits(out[k]),
-                                          _bits(pgd_batch(member, X, y, cfg, 5)))
+                                          _bits(pgd_batch(member, Xk, y, cfg, 5)))
 
 
 def test_rows_at_a_fixed_point_stay_there():
@@ -421,3 +444,33 @@ def test_rows_at_a_fixed_point_stay_there():
     stopped = np.logical_or.accumulate(still, axis=0)
     np.testing.assert_array_equal(still, stopped)
     assert np.all(stopped[-1].sum(axis=-1) > 0)
+
+
+def test_stopped_member_keeps_its_row_while_another_member_moves_it(monkeypatch):
+    """Past one gradient block, a row stays in the loop while any member
+    still moves it, and a member whose copy of the row has stopped keeps
+    its iterate even when its gradient changes afterwards.  The gradient
+    is scripted per step: member 0 pushes every row to the ball bound in
+    one step, stops there on the next, and from step 5 on its sign flips;
+    member 1 alternates its sign, so it moves every row on every step."""
+    cfg = AttackConfig(epsilon=0.3, step_size=0.3, steps=10, random_start=False)
+    X, y = _moon_batch(n=600)
+    stack = stack_networks(_family_nets(((0, 0.5), (1, 7.0))))
+    calls = []
+
+    def scripted(net, X, y):
+        step = len(calls)
+        calls.append(X.shape[-2])
+        member0 = np.full(X.shape[-2:], 1.0 if step < 5 else -1.0)
+        member1 = np.full(X.shape[-2:], (-1.0) ** step)
+        return np.stack([member0, member1]) if isinstance(net, NetworkStack) else member0
+
+    monkeypatch.setattr(atk, "grad_input_batch", scripted)
+    out = pgd_batch(stack, X, y, cfg, rng_seed=0)
+    assert calls == [600] * cfg.steps  # member 1 kept every row in
+    calls.clear()
+    solo = pgd_batch(stack.member(0), X, y, cfg, rng_seed=0)
+    assert calls == [600] * 2  # one step to the bound, one at it
+    _, hi = atk._ball_bounds(X, cfg.epsilon)
+    np.testing.assert_array_equal(_bits(solo), _bits(hi))
+    np.testing.assert_array_equal(_bits(out[0]), _bits(solo))
