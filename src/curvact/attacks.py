@@ -31,8 +31,16 @@ every row takes every step.  The rows still moving are evaluated
 together at fewer rows, so they keep the sign-only caveat above about
 batch shape.  In a stack a row stays in while any member still moves
 it, and a member whose copy of the row has stopped keeps its iterate.
-pgd_batch, clean_accuracy and robust_accuracy take a stack wherever they
-take a Network; the accuracies then come back one per member.
+
+robust_accuracy counts a row only when it is classified correctly clean,
+so past one gradient block its attack takes no step on a row that no
+member classifies correctly: that row keeps its clipped random start.
+The rows it attacks run through the same loop as pgd_batch's, with the
+same sign-only caveat about batch shape; at 512 rows or fewer every row
+takes every step.  Its on_step sees each step's iterate over all rows,
+in pgd_batch's shape.  pgd_batch, clean_accuracy and robust_accuracy
+take a stack wherever they take a Network; the accuracies then come
+back one per member.
 """
 
 from __future__ import annotations
@@ -136,19 +144,28 @@ def pgd_batch(
     """
     X = _check_batch(net, _check_finite(np.asarray(X, dtype=np.float64)))
     y = _check_label_shape(X, y)
+    return _pgd_rows(net, X, y, cfg, rng_seed, np.arange(X.shape[-2]), on_step)
+
+
+def _pgd_rows(net, X, y, cfg, rng_seed, rows, on_step):
+    """pgd_batch's attack on checked rows X and labels y.  Past one
+    gradient block only the rows indexed by rows take steps, until they
+    reach a fixed point, and every other row keeps its clipped start; at
+    one block or fewer every row takes every step."""
     lo, hi = _ball_bounds(X, cfg.epsilon)
     cur = X.copy()
     if cfg.random_start and cfg.epsilon > 0:
         start = np.random.default_rng(rng_seed).uniform(-cfg.epsilon, cfg.epsilon, X.shape[-2:])
         # np.clip's bits on finite input, without its Python wrappers.
         cur = np.minimum(np.maximum(cur + start, lo), hi)
-    # Past one gradient block: the rows still moving and, per member,
-    # whether each one moved in the last step.
-    rows = moved = None
-    if X.shape[-2] > _GRAD_BLOCK_ROWS:
-        rows, moved = np.arange(X.shape[-2]), np.ones(X.shape[-2], dtype=bool)
+    # Past one gradient block: the iterate in its full (S, n, d) shape on a
+    # stack, and per member whether each row still attacked moved last step.
+    compact = X.shape[-2] > _GRAD_BLOCK_ROWS
+    if compact:
+        cur = np.broadcast_to(cur, net.weights[0].shape[:-2] + X.shape[-2:])
+        moved = np.ones(rows.size, dtype=bool)
     for step in range(cfg.steps):
-        if rows is None:
+        if not compact:
             g = grad_input_batch(net, cur, y)
             cur = np.minimum(np.maximum(cur + cfg.step_size * np.sign(g), lo), hi)
         elif rows.size:
@@ -159,7 +176,7 @@ def pgd_batch(
             if not moved.all():
                 new = np.where(moved[..., None], new, part)
             moved = (new.view(np.int64) != part.view(np.int64)).any(axis=-1)
-            cur = np.broadcast_to(cur, new.shape[:-2] + cur.shape[-2:]).copy()
+            cur = cur.copy()
             cur[..., rows, :] = new
             keep = moved.reshape(-1, rows.size).any(axis=0)
             rows, moved = rows[keep], moved[..., keep]
@@ -198,9 +215,14 @@ def robust_accuracy(net: Network | NetworkStack, X, y, cfg: AttackConfig, rng_se
     attack, sign(f(x)) == y and sign(f(x_adv)) == y, as in Madry et al.
     (ICLR 2018).  So it never exceeds clean accuracy, and with epsilon = 0
     it equals clean accuracy.
+
+    Past 512 rows the attack skips every row that no member classifies
+    correctly clean (module docstring); on_step still sees the iterate
+    over all rows, in pgd_batch's shape.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = _check_batch(net, _check_finite(np.asarray(X, dtype=np.float64)))
     y = _check_labels(X, y)
-    adv = pgd_batch(net, X, y, cfg, rng_seed, on_step)
-    ok = (np.sign(forward_batch(net, X).f) == y) & (np.sign(forward_batch(net, adv).f) == y)
-    return _rate(ok)
+    clean = np.sign(forward_batch(net, X).f) == y
+    rows = np.flatnonzero(clean.any(axis=tuple(range(clean.ndim - 1))))
+    adv = _pgd_rows(net, X, y, cfg, rng_seed, rows, on_step)
+    return _rate(clean & (np.sign(forward_batch(net, adv).f) == y))

@@ -388,8 +388,9 @@ def read_sweep_results(path) -> list[SweepResult]:
     must be SWEEP_COLUMNS, in order; any other header raises
     ResultsFormatError naming the path and the missing and extra columns.
     Each row is parsed by position, and a row with another field count, a
-    field that does not parse, or an empty field outside the metrics is
-    a ResultsFormatError naming its line."""
+    field that does not parse, a curvature or alpha that is not finite,
+    or an empty field outside the metrics is a ResultsFormatError naming
+    its line."""
     reader = csv.reader(_complete_lines(path).splitlines(keepends=True))
     header = next(reader, [])
     if tuple(header) != SWEEP_COLUMNS:
@@ -403,9 +404,12 @@ def read_sweep_results(path) -> list[SweepResult]:
         try:
             if len(row) != len(SWEEP_COLUMNS):
                 raise ValueError(f"expected {len(SWEEP_COLUMNS)} fields, got {len(row)}")
-            out.append(SweepResult(*(
+            cell = SweepResult(*(
                 math.nan if text == "" and name in _METRICS else _COLUMN_TYPES[name](text)
-                for name, text in zip(SWEEP_COLUMNS, row))))
+                for name, text in zip(SWEEP_COLUMNS, row)))
+            if not (math.isfinite(cell.curvature) and math.isfinite(cell.alpha)):
+                raise ValueError("curvature and alpha must be finite")
+            out.append(cell)
         except ValueError as exc:
             raise ResultsFormatError(
                 f"results file {path} line {reader.line_num} is malformed: {exc}") from None

@@ -313,7 +313,7 @@ class TestRobustAccuracy:
         net = _linear_net([1.0])
         X = np.array([[-0.1]])
         y = np.array([1.0])
-        monkeypatch.setattr(atk, "pgd_batch", lambda *a, **k: np.array([[2.5]]))
+        monkeypatch.setattr(atk, "_pgd_rows", lambda *a, **k: np.array([[2.5]]))
         assert robust_accuracy(net, X, y, TestPgd.CFG, rng_seed=0) == 0.0
 
     def test_attack_that_leaves_the_row_correct_keeps_it_robust(self, monkeypatch):
@@ -321,7 +321,7 @@ class TestRobustAccuracy:
         net = _linear_net([1.0])
         X = np.array([[0.9]])
         y = np.array([1.0])
-        monkeypatch.setattr(atk, "pgd_batch", lambda *a, **k: np.array([[0.95]]))
+        monkeypatch.setattr(atk, "_pgd_rows", lambda *a, **k: np.array([[0.95]]))
         assert robust_accuracy(net, X, y, TestPgd.CFG, rng_seed=0) == 1.0
 
     def test_flipped_row_is_not_robust_behind_an_overconfident_clean_view(self, monkeypatch):
@@ -334,7 +334,7 @@ class TestRobustAccuracy:
         adv = np.array([[-0.025]])
         assert np.abs(adv - X).max() <= TestPgd.CFG.epsilon
         assert forward_batch(net, X).f[0] == 3.5 and forward_batch(net, adv).f[0] == -0.5
-        monkeypatch.setattr(atk, "pgd_batch", lambda *a, **k: adv)
+        monkeypatch.setattr(atk, "_pgd_rows", lambda *a, **k: adv)
         assert robust_accuracy(net, X, y, TestPgd.CFG, rng_seed=0) == 0.0
 
     def test_deterministic_for_fixed_seed(self):
@@ -474,3 +474,92 @@ def test_stopped_member_keeps_its_row_while_another_member_moves_it(monkeypatch)
     _, hi = atk._ball_bounds(X, cfg.epsilon)
     np.testing.assert_array_equal(_bits(solo), _bits(hi))
     np.testing.assert_array_equal(_bits(out[0]), _bits(solo))
+
+
+def _clipped_start(X, cfg, rng_seed):
+    lo, hi = atk._ball_bounds(X, cfg.epsilon)
+    return np.clip(X + np.random.default_rng(rng_seed).uniform(-cfg.epsilon, cfg.epsilon,
+                                                               X.shape[-2:]), lo, hi)
+
+
+@pytest.mark.parametrize("n", [48, 512, 600, 1100])
+@pytest.mark.parametrize("model", ["network", "stack", "per-member"])
+def test_robust_accuracy_attacks_the_rows_it_can_count(n, model, monkeypatch):
+    """Robust accuracy is the share of rows correct clean and under the
+    every-row reference attack.  Past one gradient block only the rows
+    some member classifies correctly are attacked, bit for bit as the
+    reference attacks them, and the others keep their clipped start; at
+    one block or fewer every row takes every step.  Either way on_step
+    sees each step's iterate over all rows, inside the ball."""
+    cfg = DEFAULT_EVAL_ATTACK
+    X, y = _moon_batch(n=n)
+    nets = _family_nets(((0, 0.5), (1, 7.0), (2, 50.0)))
+    net = nets[0] if model == "network" else stack_networks(nets)
+    if model == "per-member":
+        X = X + np.random.default_rng(8).normal(scale=0.05, size=(len(nets),) + X.shape)
+    clean = np.sign(forward_batch(net, X).f) == y
+    assert np.all((0.2 < clean.mean(axis=-1)) & (clean.mean(axis=-1) < 0.9))
+    want = []
+    ref = pgd_reference(net, X, y, cfg, 5, on_step=lambda s, cur: want.append(cur))
+    expected = np.mean(clean & (np.sign(forward_batch(net, ref).f) == y), axis=-1)
+    got, rows = [], []
+
+    def spy(net, X, y):
+        rows.append(X.shape[-2])
+        return grad_input_batch(net, X, y)
+
+    monkeypatch.setattr(atk, "grad_input_batch", spy)
+    np.testing.assert_array_equal(
+        robust_accuracy(net, X, y, cfg, 5, on_step=lambda s, cur: got.append(cur)), expected)
+    attacked = clean.reshape(-1, n).any(axis=0) if n > 512 else np.ones(n, dtype=bool)
+    start = np.broadcast_to(_clipped_start(X, cfg, 5), ref.shape)
+    assert len(got) == cfg.steps
+    for step, (a, b) in enumerate(zip(got, want)):
+        assert a.shape == b.shape and np.max(np.abs(a - X)) <= cfg.epsilon
+        np.testing.assert_array_equal(_bits(a[..., attacked, :]), _bits(b[..., attacked, :]),
+                                      err_msg=f"step {step}")
+        np.testing.assert_array_equal(_bits(a[..., ~attacked, :]),
+                                      _bits(start[..., ~attacked, :]), err_msg=f"step {step}")
+    if n <= 512:
+        assert rows == [n] * cfg.steps
+    else:
+        assert 0 < attacked.sum() < n and rows[0] == attacked.sum() and max(rows) < n
+
+
+def test_row_that_one_member_classifies_correctly_is_attacked():
+    """Every row is correct for exactly one of two linear members, so no
+    row is correct for both; the stack still attacks every row, and each
+    member's accuracies are those of its solo call."""
+    rng = np.random.default_rng(2)
+    X = rng.uniform(-1.0, 1.0, size=(600, 2))
+    y = np.ones(600)
+    nets = [_linear_net([1.0, 0.0]), _linear_net([-1.0, 0.0])]
+    stack = stack_networks(nets)
+    clean = clean_accuracy(stack, X, y)
+    robust = robust_accuracy(stack, X, y, DEFAULT_EVAL_ATTACK, rng_seed=3)
+    for k, net in enumerate(nets):
+        assert clean[k] == clean_accuracy(net, X, y)
+        assert robust[k] == robust_accuracy(net, X, y, DEFAULT_EVAL_ATTACK, rng_seed=3)
+        assert robust[k] < clean[k]
+
+
+@pytest.mark.parametrize("model", ["network", "stack"])
+def test_no_gradient_when_every_row_is_misclassified(model, monkeypatch):
+    """Past one gradient block, a batch no member classifies correctly
+    scores 0 without one gradient; on_step still sees a fresh iterate of
+    the full shape, the clipped start, at every step."""
+    X = np.random.default_rng(4).uniform(-1.0, 1.0, size=(600, 2))
+    y = -np.sign(X[:, 0])
+    nets = [_linear_net([1.0, 0.0]), _linear_net([2.0, 0.0])]
+    net = nets[0] if model == "network" else stack_networks(nets)
+    calls, got = [], []
+    monkeypatch.setattr(atk, "grad_input_batch", lambda *a: calls.append(a))
+    acc = robust_accuracy(net, X, y, TestPgd.CFG, rng_seed=6,
+                          on_step=lambda s, cur: got.append(cur))
+    np.testing.assert_array_equal(acc, np.zeros(len(nets)) if model == "stack" else 0.0)
+    assert calls == [] and len(got) == TestPgd.CFG.steps
+    start = _clipped_start(X, TestPgd.CFG, 6)
+    for step, cur in enumerate(got):
+        assert cur.shape == forward_batch(net, X).f.shape + (2,)
+        np.testing.assert_array_equal(_bits(cur), _bits(np.broadcast_to(start, cur.shape)))
+        assert not any(np.shares_memory(cur, c) for c in got[:step])

@@ -303,6 +303,21 @@ class TestSweepAndPlot:
         assert code == 1
         assert "no plottable rows" in err
 
+    @pytest.mark.parametrize("column", ["curvature", "alpha"])
+    def test_plot_refuses_a_non_finite_key_by_line(self, sweep_csv, tmp_path, capsys,
+                                                   column):
+        _, results = sweep_csv
+        header, *lines = results.read_text().splitlines()
+        key = header.split(",").index(column)
+        row = lines[0].split(",")
+        row[key] = "nan"
+        broken = tmp_path / "nan.csv"
+        broken.write_text("\n".join([header, *lines, ",".join(row)]) + "\n")
+        code = main(["plot", str(broken), "--kind", "robustness_vs_curvature"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"line {len(lines) + 2} is malformed: curvature and alpha must be finite" in err
+
     def test_plot_missing_file_is_io_error(self, tmp_path, capsys):
         code = main(["plot", str(tmp_path / "absent.csv"), "--kind",
                      "robustness_vs_curvature"])

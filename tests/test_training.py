@@ -399,9 +399,12 @@ class TestRunSweep:
         # Only a metric may be empty (NaN); an empty key or wall time is malformed.
         empties = [[("" if col == name else v) for col, v in zip(SWEEP_COLUMNS, good)]
                    for name in ("beta", "curvature", "alpha", "seed", "wall_time_s")]
+        # A cell's keys must be finite: a NaN key never equals itself.
+        non_finite = [[(text if col == name else v) for col, v in zip(SWEEP_COLUMNS, good)]
+                      for name in ("curvature", "alpha") for text in ("nan", "inf", "-inf")]
         for bad, line in ((good[:4], 3), (good[:4] + ["x"] + good[5:], 3),
                           (good + ["extra"], 3), (good[:4], 4),
-                          *((row, 3) for row in empties)):
+                          *((row, 3) for row in empties + non_finite)):
             rows = [good, bad, good] if line == 3 else [good, good, bad]
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 fh.write(",".join(SWEEP_COLUMNS) + "\n")
