@@ -399,7 +399,8 @@ class TestRunSweep:
         # Only a metric may be empty (NaN); an empty key or wall time is malformed.
         empties = [[("" if col == name else v) for col, v in zip(SWEEP_COLUMNS, good)]
                    for name in ("beta", "curvature", "alpha", "seed", "wall_time_s")]
-        # A cell's keys must be finite: a NaN key never equals itself.
+        # Curvature and alpha must be finite, as the sweep writes them; a NaN key
+        # would never equal itself on resume.
         non_finite = [[(text if col == name else v) for col, v in zip(SWEEP_COLUMNS, good)]
                       for name in ("curvature", "alpha") for text in ("nan", "inf", "-inf")]
         for bad, line in ((good[:4], 3), (good[:4] + ["x"] + good[5:], 3),
