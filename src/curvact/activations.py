@@ -12,6 +12,8 @@ maximum curvature of the activation directly.  Baselines (ReLU, LeakyReLU,
 ELU, GELU, Swish, Mish, Softplus) come with matching derivatives where
 they exist.  Softplus and Swish are the family members with alpha = 1 and
 beta = 0, 1, bit for bit (multiplying by alpha = 1.0 is exact).
+max_abs_d2 gives every kind's peak of |sigma''| in closed form (ELU and
+GELU peak at x = 0 too) but Mish's, which takes a bounded scalar search.
 
 One kernel per kind, _kernel(spec, x, order), returns sigma up to its
 order-th derivative; value, d1 and d2 are that kernel behind a finiteness
@@ -300,57 +302,41 @@ class CurvatureProfile:
         return math.isinf(self.max_abs_d2)
 
 
-def _symmetric_grid(half_width: float, n: int) -> np.ndarray:
-    # Built so that exactly 0.0 is a grid point: peaks at the origin are hit.
-    half_n = n // 2
-    step = half_width / half_n
-    return (np.arange(2 * half_n + 1) - half_n) * step
-
-
-def _golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximization of fn on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(120):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-        if b - a <= 1e-14 * max(1.0, abs(a) + abs(b)):
-            break
-    x = (a + b) / 2.0
-    return x, fn(x)
+# Kinds outside the family whose |sigma''| peaks at x = 0.  relu and
+# leaky_relu: sigma'' is a point mass at the kink, so the peak is +inf.
+# elu: sigma'' is e^x for x < 0 and 0 for x > 0, so its supremum is the
+# left limit 1 at 0 (d2 returns it there).  gelu: sigma'' = phi(x) *
+# (2 - x^2), whose derivative -x * phi(x) * (4 - x^2) vanishes at 0 and
+# +-2, where |sigma''| is 2*phi(0) = 2/sqrt(2*pi) and 2*phi(2) ~ 0.108.
+_PEAKS_AT_ORIGIN = {"relu": math.inf, "leaky_relu": math.inf,
+                    "elu": 1.0, "gelu": 2.0 * _INV_SQRT_2PI}
 
 
 def max_abs_d2(spec: ActivationSpec) -> CurvatureProfile:
     """Location and size of the maximum of |sigma''|.
 
-    The tunable family, softplus and swish among it, peaks at x = 0 with
-    alpha/4, alpha/2 or alpha for beta 0, 1 or 2, returned in closed form.
-    ReLU-style kinks report +inf at the kink location.  Other activations
-    are searched on a grid, with a golden-section refinement.
+    Every kind but mish peaks in closed form: the tunable family, softplus
+    and swish among it, at x = 0 with alpha/4, alpha/2 or alpha for beta 0,
+    1 or 2; elu at x = 0 with 1; gelu at x = 0 with 2/sqrt(2*pi).
+    ReLU-style kinks report +inf at the kink location.  mish alone takes
+    a bounded scalar search on [-1, 1].
     """
-    if spec.kind in ("relu", "leaky_relu"):
-        return CurvatureProfile(spec, 0.0, math.inf)
+    if spec.kind in _PEAKS_AT_ORIGIN:
+        return CurvatureProfile(spec, 0.0, _PEAKS_AT_ORIGIN[spec.kind])
     member = _AS_FAMILY.get(spec.kind, spec)
     if member.kind == "rct_af":
         return CurvatureProfile(spec, 0.0, float(member.alpha / _PEAK_DIVISORS[member.beta]))
-    xs = _symmetric_grid(20.0, 4001)
-    vals = np.abs(d2(spec, xs))
-    k = int(np.argmax(vals))
-    lo = xs[max(k - 1, 0)]
-    hi = xs[min(k + 1, len(xs) - 1)]
-    x_ref, v_ref = _golden_max(lambda x: abs(d2(spec, x)), float(lo), float(hi))
-    if v_ref >= vals[k]:
-        return CurvatureProfile(spec, x_ref, v_ref)
-    return CurvatureProfile(spec, float(xs[k]), float(vals[k]))
+    # mish: |sigma''| is unimodal on [-1, 1] and holds its global peak there
+    # (0.644 near x = -0.088; the other local maxima are 0.042 near -3.27 and
+    # 0.059 near 2.11).  The default xatol of 1e-5 leaves the argmax 1.4e-6
+    # off; 1e-10 runs to float64's resolution of a flat peak.  scipy.optimize
+    # is imported here, not at module top, because it adds about 0.2 s to
+    # every fresh `import curvact`.
+    from scipy.optimize import minimize_scalar
+
+    res = minimize_scalar(lambda x: -abs(d2(spec, x)), bounds=(-1.0, 1.0),
+                          method="bounded", options={"xatol": 1e-10})
+    return CurvatureProfile(spec, float(res.x), float(-res.fun))
 
 
 def alpha_for_curvature(beta: int, target: float) -> float:

@@ -183,8 +183,8 @@ def _single_layer_closed_form(net: Network, x: np.ndarray, y: float) -> np.ndarr
 def cmd_hessian_check(args) -> int:
     if args.trials < 1:
         raise _UsageError("trials must be at least 1")
-    if args.tolerance < 0:
-        raise _UsageError("tolerance must be non-negative")
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise _UsageError("tolerance must be finite and non-negative")
     rng = np.random.default_rng(args.seed)
     tol = args.tolerance
     explicit = load_network(args.net) if args.net is not None else None

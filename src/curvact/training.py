@@ -388,9 +388,10 @@ def read_sweep_results(path) -> list[SweepResult]:
     must be SWEEP_COLUMNS, in order; any other header raises
     ResultsFormatError naming the path and the missing and extra columns.
     Each row is parsed by position, and a row with another field count, a
-    field that does not parse, a curvature or alpha that is not finite,
-    or an empty field outside the metrics is a ResultsFormatError naming
-    its line."""
+    field that does not parse, a curvature or alpha that is not finite, a
+    beta outside {0, 1, 2}, a status other than ok or diverged, or an
+    empty field outside the metrics is a ResultsFormatError naming its
+    line."""
     reader = csv.reader(_complete_lines(path).splitlines(keepends=True))
     header = next(reader, [])
     if tuple(header) != SWEEP_COLUMNS:
@@ -409,6 +410,10 @@ def read_sweep_results(path) -> list[SweepResult]:
                 for name, text in zip(SWEEP_COLUMNS, row)))
             if not (math.isfinite(cell.curvature) and math.isfinite(cell.alpha)):
                 raise ValueError("curvature and alpha must be finite")
+            if cell.beta not in (0, 1, 2):
+                raise ValueError(f"beta {cell.beta} is not 0, 1 or 2")
+            if cell.status not in ("ok", "diverged"):
+                raise ValueError(f"status {cell.status!r} is not ok or diverged")
             out.append(cell)
         except ValueError as exc:
             raise ResultsFormatError(

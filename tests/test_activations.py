@@ -228,15 +228,17 @@ def test_curvature_maxima_analytic(alpha):
 
 
 def test_curvature_maxima_against_grid_oracle():
-    """An independent dense grid search never beats the analytic peak."""
-    for alpha in (1.0, 15.0, 50.0):
-        for beta in (0, 1, 2):
-            spec = rct_af(alpha, beta)
-            xs = np.linspace(-50.0 / alpha, 50.0 / alpha, 30001)
-            grid_peak = float(np.abs(d2(spec, xs)).max())
-            prof = max_abs_d2(spec)
-            assert grid_peak <= prof.max_abs_d2 * (1.0 + 1e-9)
-            assert grid_peak == pytest.approx(prof.max_abs_d2, rel=1e-6)
+    """An independent dense grid search never beats the reported peak.
+    For mish it also checks that the global peak lies in the [-1, 1]
+    that max_abs_d2 searches."""
+    cases = [(rct_af(alpha, beta), np.linspace(-50.0 / alpha, 50.0 / alpha, 30001))
+             for alpha in (1.0, 15.0, 50.0) for beta in (0, 1, 2)]
+    cases += [(spec, np.linspace(-20.0, 20.0, 400001)) for spec in (elu(), gelu(), mish())]
+    for spec, xs in cases:
+        grid_peak = float(np.abs(d2(spec, xs)).max())
+        prof = max_abs_d2(spec)
+        assert grid_peak <= prof.max_abs_d2 * (1.0 + 1e-9)
+        assert grid_peak == pytest.approx(prof.max_abs_d2, rel=1e-6)
 
 
 def test_baseline_curvature_values():
@@ -248,6 +250,10 @@ def test_baseline_curvature_values():
     assert mish_prof.max_abs_d2 == pytest.approx(0.6442046372369724, rel=1e-9)
     assert mish_prof.argmax_x == pytest.approx(-0.08793443131491421, abs=1e-6)
     assert max_abs_d2(softplus()).max_abs_d2 == pytest.approx(0.25, rel=1e-9)
+    # elu and gelu peak at exactly 0, where d2 gives the peak's bits.
+    for spec in (elu(), gelu()):
+        prof = max_abs_d2(spec)
+        assert (prof.argmax_x, prof.max_abs_d2) == (0.0, d2(spec, 0.0))
 
 
 @pytest.mark.parametrize("spec, beta", [(softplus(), 0), (swish(), 1)])

@@ -113,9 +113,11 @@ class TestCurvature:
         assert "inf" in relu_line
 
     def test_tunable_peak_location_is_origin(self, capsys):
-        main(["curvature", "rct_af:alpha=14,beta=1"])
-        out = capsys.readouterr().out
-        assert "0.0000" in out and "7.000" in out
+        # gelu's peak is at exactly 0 too, so no "-0.0000" either.
+        for spec, peak in (("rct_af:alpha=14,beta=1", "7.000"), ("gelu", "0.798")):
+            main(["curvature", spec])
+            row = capsys.readouterr().out.splitlines()[1].split()
+            assert row[-2:] == ["0.0000", peak]
 
     def test_csv_round_trips_library_values(self, tmp_path):
         out = tmp_path / "curv.csv"
@@ -212,8 +214,11 @@ class TestHessianCheck:
 
     def test_usage_errors(self, capsys):
         assert main(["hessian-check", "--trials", "0"]) == 1
-        assert main(["hessian-check", "--tolerance", "-1"]) == 1
-        capsys.readouterr()
+        # nan would read as a numerical FAIL (exit 2), inf as a PASS for
+        # any diagonal: neither is a tolerance.
+        for tol in ("-1", "nan", "inf"):
+            assert main(["hessian-check", "--tolerance", tol]) == 1
+            assert "tolerance must be finite and non-negative" in capsys.readouterr().err
 
     def test_missing_net_file_is_io_error(self, tmp_path, capsys):
         code = main(["hessian-check", "--net", str(tmp_path / "nope.json")])

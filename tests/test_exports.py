@@ -1,11 +1,15 @@
 """The package's export list: every name in curvact.__all__ exists, none
 is listed twice, and a star import succeeds.  Also the package's settable
-values, the count ROADMAP aim 2 tracks."""
+values, the count ROADMAP aim 2 tracks, and what a fresh import loads."""
 
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import curvact
 
@@ -72,6 +76,18 @@ def test_star_import_succeeds():
     namespace = {}
     exec("from curvact import *", namespace)
     assert set(curvact.__all__) <= set(namespace)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """A fresh `import curvact` must not pull in scipy.optimize: it adds
+    about 0.2 s to every process start, which the benchmark's setup_s
+    times.  max_abs_d2 imports it for mish alone."""
+    src = str(Path(curvact.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, curvact; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_settable_values_are_the_listed_ones():

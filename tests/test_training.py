@@ -403,9 +403,11 @@ class TestRunSweep:
         # would never equal itself on resume.
         non_finite = [[(text if col == name else v) for col, v in zip(SWEEP_COLUMNS, good)]
                       for name in ("curvature", "alpha") for text in ("nan", "inf", "-inf")]
+        # Nor does the sweep write a beta outside {0, 1, 2} or another status.
+        unwritten = [[text, *good[1:]] for text in ("3", "-1")] + [good[:8] + ["bogus"] + good[9:]]
         for bad, line in ((good[:4], 3), (good[:4] + ["x"] + good[5:], 3),
                           (good + ["extra"], 3), (good[:4], 4),
-                          *((row, 3) for row in empties + non_finite)):
+                          *((row, 3) for row in empties + non_finite + unwritten)):
             rows = [good, bad, good] if line == 3 else [good, good, bad]
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 fh.write(",".join(SWEEP_COLUMNS) + "\n")
