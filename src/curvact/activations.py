@@ -93,10 +93,6 @@ class ActivationSpec(Record):
         elif self.slope is not None:
             raise ValueError(f"{self.kind} takes no slope parameter")
 
-    @property
-    def twice_differentiable(self) -> bool:
-        return self.kind not in ("relu", "leaky_relu")
-
 
 def rct_af(alpha: float, beta: int) -> ActivationSpec:
     return ActivationSpec("rct_af", alpha=float(alpha), beta=int(beta))
@@ -116,7 +112,6 @@ class FamilyStack:
     alpha: np.ndarray
     beta: np.ndarray
     runs: tuple[tuple[int, int, int], ...] = field(init=False)
-    kind = "rct_af"
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=np.int64)

@@ -14,12 +14,11 @@ taking draws i*d to i*d + d - 1.  A row's start therefore depends only on
 the seed and its row index, not on how many rows follow it.  Its input
 gradient may differ in the last bit with the batch shape, but an attack
 reads only its sign; the tests check that the first k rows of a batch are
-attacked as a k-row batch is, and pgd on one sample is row 0 of
-pgd_batch.  The members of a network stack attacked together share one
-(n, d) random start, whether they share the clean rows or each has its
-own: each member's iterate, shape (S, n, d) once the first step is
-taken, is bit for bit the one a solo attack on that member and its rows
-computes.
+attacked as a k-row batch is.  The members of a network stack attacked
+together share one (n, d) random start, whether they share the clean
+rows or each has its own: each member's iterate, shape (S, n, d) once
+the first step is taken, is bit for bit the one a solo attack on that
+member and its rows computes.
 
 A row whose projected step leaves its iterate unchanged bit for bit is at
 a fixed point: attacked every step, its next gradient comes from the same
@@ -185,11 +184,6 @@ def _pgd_rows(net, X, y, cfg, rng_seed, rows, on_step):
         if on_step is not None:
             on_step(step, cur)
     return cur
-
-
-def pgd(net: Network, x, y: float, cfg: AttackConfig, rng_seed: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return pgd_batch(net, x[None, :], np.array([float(y)]), cfg, rng_seed)[0]
 
 
 def _rate(ok: np.ndarray):

@@ -230,6 +230,8 @@ def cmd_hessian_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise _UsageError("jobs must be at least 1")
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = SweepConfig.from_dict(json.load(fh))

@@ -216,7 +216,7 @@ def dataset_diag_norm(net: Network, X, y) -> float:
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0 or X.shape[0] != y.shape[0]:
+    if X.ndim != 2 or X.shape[0] == 0 or y.shape != X.shape[:1]:
         raise ValueError("expected matching, nonempty inputs and labels")
     acc = np.zeros(net.param_count)
     for start in range(0, X.shape[0], _BLOCK_ROWS):

@@ -186,11 +186,6 @@ def stack_params(net: Network, rows) -> NetworkStack:
     return NetworkStack(net.widths, weights, biases, net.activation)
 
 
-def save_network(net: Network, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(net.to_dict(), fh)
-
-
 def load_network(path) -> Network:
     with open(path, "r", encoding="utf-8") as fh:
         return Network.from_dict(json.load(fh))

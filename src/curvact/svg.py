@@ -73,8 +73,6 @@ def _escape(text: str) -> str:
 
 
 def _nice_y_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 

@@ -250,6 +250,11 @@ class SweepConfig(Record):
             raise ValueError("betas must be a nonempty subset of {0, 1, 2}")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
+        for name in ("betas", "seeds"):  # a repeat would run and write its cells twice
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ValueError(f"{name} must not repeat")
+        if len(self.widths) < 2 or min(self.widths) < 1 or self.widths[-1] != 1:
+            raise ValueError("widths must list at least two positive sizes, the last of them 1")
         if self.train.attack is None:
             raise ValueError("sweep train template must set train.attack")
 
@@ -423,54 +428,44 @@ def read_sweep_results(path) -> list[SweepResult]:
 
 def run_sweep(
     config: SweepConfig,
-    results_path=None,
+    results_path,
     jobs: int = 1,
     resume: bool = True,
     progress=None,
 ) -> list[SweepResult]:
-    """Run every (beta, curvature, seed) cell exactly once.
+    """Run every (beta, curvature, seed) cell exactly once, one row per
+    cell in the CSV at results_path.
 
     The cells still to run are grouped by seed and each group runs as one
-    stack (run_cells), its cells in grid order.  With results_path set,
-    rows are appended (and flushed) as groups finish; existing rows are
-    honoured when resume is true, so a partial file picks up where it left
-    off, and an interrupted group recomputes only its unfinished cells.
-    The existing rows are read by read_sweep_results, and a file it
-    refuses is not resumed but left as it is (its ResultsFormatError).
-    jobs > 1 fans groups out to worker processes; when the last wave has
-    fewer groups than workers, each of its groups runs as one group per
-    beta, so the workers share it.  Rows do not depend on the grouping, and
-    the returned list is always in canonical grid order, whatever the order
+    stack (run_cells), its cells in grid order; rows are appended (and
+    flushed) as groups finish.  With resume true, the rows already in the
+    file are honoured, so a partial file picks up where it left off and
+    an interrupted group recomputes only its unfinished cells; otherwise
+    the file starts afresh.  The existing rows are read by
+    read_sweep_results, and a file it refuses is not resumed but left as
+    it is (its ResultsFormatError), as is any file when widths[0] is not
+    the dataset's input dimension (ValueError).  jobs > 1 fans groups out
+    to min(jobs, groups) worker processes; when the last wave has fewer
+    groups than workers, each of its groups runs as one group per beta,
+    so the workers share it.  Rows do not depend on the grouping, and the
+    returned list is always in canonical grid order, whatever the order
     of rows in the file.
     """
     dataset = make_dataset(config.dataset, config.dataset_n, config.dataset_seed)
+    if config.widths[0] != dataset.inputs.shape[1]:
+        raise ValueError(f"widths[0] = {config.widths[0]} does not match the dataset's "
+                         f"input dimension {dataset.inputs.shape[1]}")
     cells = [(b, c, s) for b in config.betas for c in config.curvature_targets
              for s in config.seeds]
     done: dict[tuple, SweepResult] = {}
-    fh = None
-    if results_path is not None:
-        exists = os.path.exists(results_path) and os.path.getsize(results_path) > 0
-        if resume and exists:
-            for r in read_sweep_results(results_path):
-                done[r.beta, r.curvature, r.seed] = r
-            size = len(_complete_lines(results_path).encode("utf-8"))
-            if size < os.path.getsize(results_path):
-                # Cut an interrupted final row so new rows start on a line of their own.
-                os.truncate(results_path, size)
-            fh = open(results_path, "a", newline="", encoding="utf-8")
-        else:
-            fh = open(results_path, "w", newline="", encoding="utf-8")
-            fh.write(",".join(SWEEP_COLUMNS) + "\n")
-            fh.flush()
-    writer = csv.writer(fh) if fh is not None else None
-
-    def record(result: SweepResult):
-        done[result.beta, result.curvature, result.seed] = result
-        if writer is not None:
-            writer.writerow(_result_row(result))
-            fh.flush()
-        if progress is not None:
-            progress("done", result)
+    appending = resume and os.path.exists(results_path) and os.path.getsize(results_path) > 0
+    if appending:
+        for r in read_sweep_results(results_path):
+            done[r.beta, r.curvature, r.seed] = r
+        size = len(_complete_lines(results_path).encode("utf-8"))
+        if size < os.path.getsize(results_path):
+            # Cut an interrupted final row so new rows start on a line of their own.
+            os.truncate(results_path, size)
 
     by_seed: dict[int, list[tuple[int, float]]] = {}
     for b, c, s in cells:
@@ -486,19 +481,28 @@ def run_sweep(
     for key in done:
         if progress is not None:
             progress("skipped", key)
-    try:
+    with open(results_path, "a" if appending else "w", newline="", encoding="utf-8") as fh:
+        if not appending:
+            fh.write(",".join(SWEEP_COLUMNS) + "\n")
+            fh.flush()
+        writer = csv.writer(fh)
+
+        def record(result: SweepResult):
+            done[result.beta, result.curvature, result.seed] = result
+            writer.writerow(_result_row(result))
+            fh.flush()
+            if progress is not None:
+                progress("done", result)
+
         if jobs <= 1 or len(groups) <= 1:
             for s, group in groups:
                 for result in run_cells(config, dataset, group, s):
                     record(result)
         else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
                 futures = [pool.submit(run_cells, config, dataset, group, s)
                            for s, group in groups]
                 for fut in as_completed(futures):
                     for result in fut.result():
                         record(result)
-    finally:
-        if fh is not None:
-            fh.close()
     return [done[c] for c in cells]

@@ -43,7 +43,6 @@ from curvact.attacks import (
     AttackConfig,
     clean_accuracy,
     fgsm,
-    pgd,
     pgd_batch,
     robust_accuracy,
 )
@@ -496,7 +495,7 @@ def test_10_attack_budget_and_fgsm_equivalence():
         pgd_batch(trained, X, y, one_step, rng_seed=123),
         fgsm(trained, X, y, attack.epsilon))
     single_equal = np.array_equal(
-        pgd(trained, X[0], float(y[0]), one_step, rng_seed=5),
+        pgd_batch(trained, X[:1], y[:1], one_step, rng_seed=5)[0],
         fgsm(trained, X[0], float(y[0]), attack.epsilon))
     ok = ball_ok and batch_equal and single_equal
     msg = _verdict(10, "attack budget and fgsm equivalence", ok,

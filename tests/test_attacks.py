@@ -14,7 +14,6 @@ from curvact.attacks import (
     AttackConfig,
     clean_accuracy,
     fgsm,
-    pgd,
     pgd_batch,
     robust_accuracy,
 )
@@ -197,7 +196,7 @@ class TestPgd:
         X, y = _moon_batch()
         np.testing.assert_array_equal(pgd_batch(net, X, y, cfg, rng_seed=0),
                                       fgsm(net, X, y, epsilon=0.3))
-        np.testing.assert_array_equal(pgd(net, X[0], y[0], cfg, rng_seed=0),
+        np.testing.assert_array_equal(pgd_batch(net, X[:1], y[:1], cfg, rng_seed=0)[0],
                                       fgsm(net, X[0], y[0], epsilon=0.3))
 
     def test_zero_epsilon_is_identity(self):
@@ -216,16 +215,13 @@ class TestPgd:
         assert np.any(a != c)
 
     def test_batch_prefixes_are_attacked_as_their_own_batches(self):
-        """Row i's start and steps do not depend on the rows after it, and
-        pgd on one sample is row 0 of the batch."""
+        """Row i's start and steps do not depend on the rows after it."""
         net = init_network((2, 8, 1), rct_af(10.0, 1), seed=6)
         X, y = _moon_batch(n=8, seed=21)
         batch = pgd_batch(net, X, y, self.CFG, rng_seed=40)
         for k in range(1, X.shape[0] + 1):
             np.testing.assert_array_equal(
                 pgd_batch(net, X[:k], y[:k], self.CFG, rng_seed=40), batch[:k])
-        np.testing.assert_array_equal(pgd(net, X[0], y[0], self.CFG, rng_seed=40),
-                                      batch[0])
 
     def test_negative_seed_is_rejected_when_the_start_is_random(self):
         net = init_network((2, 8, 1), rct_af(10.0, 1), seed=6)

@@ -20,7 +20,7 @@ import pytest
 from curvact import cli
 from curvact.activations import ActivationSpec, d1, d2, max_abs_d2, rct_af, value
 from curvact.cli import main
-from curvact.network import init_network, save_network
+from curvact.network import init_network
 from curvact.training import SweepConfig, default_sweep_config, read_sweep_results
 
 
@@ -158,7 +158,7 @@ class TestHessianCheck:
     def test_explicit_single_layer_net_reports_closed_form(self, tmp_path, capsys):
         net = init_network((3, 5, 1), rct_af(7.0, 1), seed=2)
         path = tmp_path / "net.json"
-        save_network(net, path)
+        path.write_text(json.dumps(net.to_dict()))
         code = main(["hessian-check", "--trials", "2", "--seed", "1",
                      "--net", str(path)])
         out = capsys.readouterr().out
@@ -171,7 +171,7 @@ class TestHessianCheck:
         net = init_network((2, 3, 1), rct_af(4.0, 1), seed=0)
         net.weights[1] *= 1e300
         path = tmp_path / "big.json"
-        save_network(net, path)
+        path.write_text(json.dumps(net.to_dict()))
         with np.errstate(all="ignore"):
             code = main(["hessian-check", "--net", str(path), "--trials", "2"])
         out = capsys.readouterr().out
@@ -198,7 +198,7 @@ class TestHessianCheck:
         assert main(argv) == 0
         fresh = capsys.readouterr().out
         path = tmp_path / "net.json"
-        save_network(init_network((3, 5, 1), rct_af(7.0, 1), seed=2), path)
+        path.write_text(json.dumps(init_network((3, 5, 1), rct_af(7.0, 1), seed=2).to_dict()))
         assert main(argv + ["--net", str(path)]) == 0
         assert "single-layer closed form" in capsys.readouterr().out
         assert main(argv) == 0
@@ -355,6 +355,13 @@ class TestSweepAndPlot:
         # cell trains with its grid seed.
         ("train", "mode", "pgd_adversarial"),
         ("train", "seed", 0),
+        # Grids the sweep cannot run once, refused before the results file
+        # is opened: an input width other than the dataset's, an output of
+        # more than one unit, and a repeated beta or seed.
+        (None, "widths", [3, 4, 1]),
+        (None, "widths", [2, 4, 2]),
+        (None, "betas", [1, 1]),
+        (None, "seeds", [0, 0]),
     ])
     def test_sweep_with_mistyped_config_returns_1(self, tmp_path, capsys,
                                                   section, key, value):
@@ -365,6 +372,13 @@ class TestSweepAndPlot:
         out = tmp_path / "r.csv"
         assert main(["sweep", "--config", str(bad), "--output", str(out)]) == 1
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_sweep_with_fewer_than_one_job_is_a_usage_error(self, tmp_path, capsys, jobs):
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--jobs", jobs, "--output", str(out)]) == 1
+        assert "usage error: jobs must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_config_with_input_bounds_is_rejected(self, tmp_path, capsys):

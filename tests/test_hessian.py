@@ -360,3 +360,5 @@ class TestDatasetDiagNorm:
             dataset_diag_norm(net, np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(ValueError, match="matching"):
             dataset_diag_norm(net, np.zeros((2, 2)), np.zeros(3))
+        with pytest.raises(ValueError, match="matching"):  # a column of labels
+            dataset_diag_norm(net, np.zeros((5, 2)), np.zeros((5, 1)))

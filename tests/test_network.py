@@ -25,7 +25,6 @@ from curvact.network import (
     load_network,
     loss,
     mean_loss,
-    save_network,
     stack_networks,
     stack_params,
 )
@@ -291,7 +290,7 @@ def test_gradient_check_random_nets():
 def test_network_json_round_trip(tmp_path):
     net = init_network((2, 3, 1), rct_af(14.0, 1), seed=6)
     path = tmp_path / "net.json"
-    save_network(net, path)
+    path.write_text(json.dumps(net.to_dict()))
     blob = json.loads(path.read_text())
     assert set(blob) == {"widths", "activation", "weights", "biases"}
     assert blob["activation"] == {"kind": "rct_af", "alpha": 14.0, "beta": 1}
@@ -348,7 +347,8 @@ def test_trace_slopes_equal_d1_bitwise(spec):
     net = init_network((2, 6, 5, 1), spec, seed=4)
     net.weights[0] *= 3.0
     X = np.array([[0.01, -0.02], [0.3, -0.5], [40.0, -60.0], [-80.0, 25.0]])
-    orders = (0, 1, 2) if spec.twice_differentiable else (0, 1)
+    smooth = spec.kind not in ("relu", "leaky_relu")
+    orders = (0, 1, 2) if smooth else (0, 1)
     traces = [forward_batch(net, X, order=k) for k in orders]
     assert traces[0].d1 is None and traces[0].d2 is None and traces[1].d2 is None
     bt = traces[-1]
@@ -361,9 +361,9 @@ def test_trace_slopes_equal_d1_bitwise(spec):
         for tr in traces[1:]:
             np.testing.assert_array_equal(_bits(tr.d1[l]), _bits(d1(spec, z)))
         np.testing.assert_array_equal(_bits(bt.h[l + 1]), _bits(value(spec, z)))
-        if spec.twice_differentiable:
+        if smooth:
             np.testing.assert_array_equal(_bits(bt.d2[l]), _bits(d2(spec, z)))
-    if not spec.twice_differentiable:
+    if not smooth:
         with pytest.raises(UnsupportedActivationError, match=spec.kind):
             forward_batch(net, X, order=2)
     single = forward(net, X[2])

@@ -9,6 +9,7 @@ import csv
 import dataclasses
 import json
 import math
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,14 @@ class TestSweepConfig:
         # cell trains with its grid seed.
         ("train", "mode", "pgd_adversarial", r"SweepConfig\.train\b.*'mode'"),
         ("train", "seed", 0, r"SweepConfig\.train\b.*'seed'"),
+        # Grids the sweep cannot run once: no hidden net, a width below 1, an
+        # output of more than one unit, and a beta or seed whose cells would
+        # run and be written twice.
+        (None, "widths", [2], "widths"),
+        (None, "widths", [2, 0, 1], "widths"),
+        (None, "widths", [2, 4, 2], "widths"),
+        (None, "betas", [1, 1], "betas"),
+        (None, "seeds", [0, 0], "seeds"),
     ])
     def test_from_dict_rejects_bad_input(self, section, key, value, field):
         data = default_sweep_config().to_dict()
@@ -317,9 +326,9 @@ class TestSweepConfig:
 
 
 class TestRunSweep:
-    def test_single_cell_result(self):
+    def test_single_cell_result(self, tmp_path):
         cfg = _tiny_sweep()
-        results = run_sweep(cfg)
+        results = run_sweep(cfg, tmp_path / "results.csv")
         assert len(results) == 1
         r = results[0]
         assert r.status == "ok"
@@ -329,20 +338,20 @@ class TestRunSweep:
         assert math.isfinite(r.diag_norm) and r.diag_norm >= 0.0
         assert 0.0 <= r.std_clean_acc <= 1.0
 
-    def test_covers_every_cell_exactly_once(self):
+    def test_covers_every_cell_exactly_once(self, tmp_path):
         cfg = _tiny_sweep(curvature_targets=(0.5, 7.0), betas=(0, 2),
                           seeds=(0, 1), dataset_n=40,
                           train=dataclasses.replace(default_sweep_config().train,
                                                     epochs=1))
-        results = run_sweep(cfg)
+        results = run_sweep(cfg, tmp_path / "results.csv")
         keys = [(r.beta, r.curvature, r.seed) for r in results]
         expected = [(b, c, s) for b in (0, 2) for c in (0.5, 7.0) for s in (0, 1)]
         assert keys == expected
 
-    def test_deterministic_apart_from_wall_time(self):
+    def test_deterministic_apart_from_wall_time(self, tmp_path):
         cfg = _tiny_sweep()
-        a = run_sweep(cfg)[0]
-        b = run_sweep(cfg)[0]
+        a = run_sweep(cfg, tmp_path / "a.csv")[0]
+        b = run_sweep(cfg, tmp_path / "b.csv")[0]
         assert dataclasses.replace(a, wall_time_s=0.0) == \
             dataclasses.replace(b, wall_time_s=0.0)
 
@@ -466,12 +475,13 @@ class TestRunSweep:
         assert written[0] == committed[0]
         assert sorted(written[1:]) == sorted(committed[1:])
 
-    def test_independent_of_worker_count(self):
+    def test_independent_of_worker_count(self, tmp_path):
         cfg = _tiny_sweep(seeds=(0, 1))
         strip = lambda rows: [dataclasses.replace(r, wall_time_s=0.0) for r in rows]
-        assert strip(run_sweep(cfg, jobs=2)) == strip(run_sweep(cfg, jobs=1))
+        assert strip(run_sweep(cfg, tmp_path / "two.csv", jobs=2)) == \
+            strip(run_sweep(cfg, tmp_path / "one.csv", jobs=1))
 
-    def test_partial_last_wave_splits_by_beta_with_the_same_rows(self, monkeypatch):
+    def test_partial_last_wave_splits_by_beta_with_the_same_rows(self, tmp_path, monkeypatch):
         """Three seed groups on two workers: the third group runs as one
         group per beta, and every row equals its row from one worker."""
         cfg = _tiny_sweep(seeds=(0, 1, 2), betas=(0, 2))
@@ -483,19 +493,58 @@ class TestRunSweep:
                 return super().submit(fn, config, dataset, cells, seed)
 
         monkeypatch.setattr(curvact.training, "ProcessPoolExecutor", SpyPool)
-        rows = run_sweep(cfg, jobs=2)
+        rows = run_sweep(cfg, tmp_path / "two.csv", jobs=2)
         both = [(0, 7.0), (2, 7.0)]
         assert submitted == [(both, 0), (both, 1), ([(0, 7.0)], 2), ([(2, 7.0)], 2)]
-        assert [_text(r) for r in rows] == [_text(r) for r in run_sweep(cfg, jobs=1)]
+        assert [_text(r) for r in rows] == \
+            [_text(r) for r in run_sweep(cfg, tmp_path / "one.csv", jobs=1)]
 
-    def test_divergent_cell_is_recorded_not_raised(self):
+    def test_workers_are_no_more_than_groups(self, tmp_path, monkeypatch):
+        """Two seed groups at jobs=8 start two workers.  The stand-in pool
+        records its size and runs each group inline, so no process starts."""
+        workers = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(curvact.training, "ProcessPoolExecutor", InlinePool)
+        cfg = _tiny_sweep(seeds=(0, 1))
+        rows = run_sweep(cfg, tmp_path / "eight.csv", jobs=8)
+        assert workers == [2]
+        assert [_text(r) for r in rows] == \
+            [_text(r) for r in run_sweep(cfg, tmp_path / "one.csv", jobs=1)]
+
+    def test_input_width_other_than_the_datasets_is_refused_before_the_file(self, tmp_path):
+        cfg = _tiny_sweep(widths=(3, 4, 1))
+        path = tmp_path / "results.csv"
+        with pytest.raises(ValueError, match=r"widths\[0\] = 3 .* input dimension 2"):
+            run_sweep(cfg, path)
+        assert not path.exists()
+        path.write_text("kept\n")
+        with pytest.raises(ValueError, match="widths"):
+            run_sweep(cfg, path, resume=False)
+        assert path.read_text() == "kept\n"
+
+    def test_divergent_cell_is_recorded_not_raised(self, tmp_path):
         cfg = _tiny_sweep(
             curvature_targets=(50.0,),
             betas=(2,),
             train=dataclasses.replace(default_sweep_config().train,
                                       epochs=20, learning_rate=1e4),
         )
-        results = run_sweep(cfg)
+        results = run_sweep(cfg, tmp_path / "results.csv")
         assert len(results) == 1
         assert results[0].status == "diverged"
         assert math.isnan(results[0].clean_acc)
@@ -514,17 +563,17 @@ class TestRunSweep:
         assert loaded[0].status == "diverged"
         assert math.isnan(loaded[0].robust_acc)
 
-    def test_forward_overflow_is_recorded_as_divergence(self):
+    def test_forward_overflow_is_recorded_as_divergence(self, tmp_path):
         """At learning rate 30 the adversarial net's forward pass overflows
         while its parameters are still below the divergence ceiling."""
         base = default_sweep_config()
         cfg = dataclasses.replace(
             base, curvature_targets=(50.0,), betas=(2,), seeds=(1,),
             train=dataclasses.replace(base.train, epochs=6, learning_rate=30.0))
-        (result,) = run_sweep(cfg)
+        (result,) = run_sweep(cfg, tmp_path / "results.csv")
         assert result.status == "diverged"
 
-    def test_every_metric_is_nan_when_only_the_standard_twin_diverges(self):
+    def test_every_metric_is_nan_when_only_the_standard_twin_diverges(self, tmp_path):
         base = default_sweep_config()
         cfg = dataclasses.replace(
             base, curvature_targets=(0.5,), betas=(2,), seeds=(1,),
@@ -537,12 +586,12 @@ class TestRunSweep:
         train_network(net, dataset, adv_cfg, 1)  # the adversarial net survives
         with pytest.raises(TrainingDivergedError):
             train_network(net, dataset, std_cfg, 1)
-        (result,) = run_sweep(cfg)
+        (result,) = run_sweep(cfg, tmp_path / "results.csv")
         assert result.status == "diverged"
         for name in ("clean_acc", "robust_acc", "diag_norm", "std_clean_acc"):
             assert math.isnan(getattr(result, name)), name
 
-    def test_group_rows_equal_solo_cells_when_some_members_diverge(self):
+    def test_group_rows_equal_solo_cells_when_some_members_diverge(self, tmp_path):
         """At learning rate 1 the beta = 2, seed 0 group loses curvature 0.5
         to a non-finite forward pass and 1.0 to wild parameters in
         adversarial training, and 2.0 in standard training; 4.0 survives.
@@ -552,15 +601,17 @@ class TestRunSweep:
             base, curvature_targets=(0.5, 1.0, 2.0, 4.0), betas=(2,), seeds=(0,),
             train=dataclasses.replace(base.train, epochs=6, learning_rate=1.0))
         dataset = make_dataset(cfg.dataset, cfg.dataset_n, cfg.dataset_seed)
-        rows = run_sweep(cfg)
+        rows = run_sweep(cfg, tmp_path / "results.csv")
         assert [r.status for r in rows] == ["diverged"] * 3 + ["ok"]
         for r in rows:
             solo = run_cell(cfg, dataset, r.beta, r.curvature, r.seed)
             assert _text(solo) == _text(r)
 
-    def test_curvature_subgrid_rows_equal_full_grid_rows(self):
-        full = run_sweep(_tiny_sweep(curvature_targets=(0.5, 2.0, 7.0, 50.0), seeds=(0, 1)))
-        sub = run_sweep(_tiny_sweep(curvature_targets=(2.0, 50.0), seeds=(1,)))
+    def test_curvature_subgrid_rows_equal_full_grid_rows(self, tmp_path):
+        full = run_sweep(_tiny_sweep(curvature_targets=(0.5, 2.0, 7.0, 50.0), seeds=(0, 1)),
+                         tmp_path / "full.csv")
+        sub = run_sweep(_tiny_sweep(curvature_targets=(2.0, 50.0), seeds=(1,)),
+                        tmp_path / "sub.csv")
         assert [_text(r) for r in sub] == \
             [_text(r) for r in full if r.curvature in (2.0, 50.0) and r.seed == 1]
 
@@ -579,7 +630,7 @@ class TestRunSweep:
         assert [_text(r) for r in resumed] == [_text(r) for r in full]
         assert [_text(r) for r in read_sweep_results(path)] == [_text(r) for r in full]
 
-    def test_default_grid_runs_one_group_per_seed(self, monkeypatch):
+    def test_default_grid_runs_one_group_per_seed(self, tmp_path, monkeypatch):
         """Each seed's 30 cells, every beta among them, train as one stack."""
         calls = []
 
@@ -590,13 +641,13 @@ class TestRunSweep:
 
         monkeypatch.setattr(curvact.training, "run_cells", fake_run_cells)
         cfg = default_sweep_config()
-        rows = run_sweep(cfg)
+        rows = run_sweep(cfg, tmp_path / "results.csv")
         grid = [(b, c) for b in cfg.betas for c in cfg.curvature_targets]
         assert calls == [(grid, s) for s in cfg.seeds]
         assert [(r.beta, r.curvature, r.seed) for r in rows] == \
             [(b, c, s) for b, c in grid for s in cfg.seeds]
 
-    def test_seed_group_spanning_betas_equals_solo_cells(self):
+    def test_seed_group_spanning_betas_equals_solo_cells(self, tmp_path):
         """At learning rate 0.5 the beta = 1, curvature 0.5 member diverges
         while the members of beta 0 and 2 in its seed group train on.  Each
         row is its cell's row run on its own."""
@@ -605,7 +656,7 @@ class TestRunSweep:
             base, curvature_targets=(0.5, 2.0), seeds=(0,),
             train=dataclasses.replace(base.train, epochs=6, learning_rate=0.5))
         dataset = make_dataset(cfg.dataset, cfg.dataset_n, cfg.dataset_seed)
-        rows = run_sweep(cfg)
+        rows = run_sweep(cfg, tmp_path / "results.csv")
         assert [(r.beta, r.status) for r in rows] == \
             [(0, "ok"), (0, "ok"), (1, "diverged"), (1, "ok"), (2, "ok"), (2, "ok")]
         for r in rows:
@@ -645,12 +696,12 @@ class TestRunSweep:
         with pytest.raises(ResultsFormatError, match="diag_norm"):
             read_sweep_results(path)
 
-    def test_small_curvature_extremes_show_u_shape(self):
+    def test_small_curvature_extremes_show_u_shape(self, tmp_path):
         # Reduced sweep named in the library docs: means of the standard
         # twins' diagonal norms over five seeds dip at mid curvature.
         cfg = dataclasses.replace(default_sweep_config(),
                                   curvature_targets=(0.5, 7.0, 50.0), betas=(1,))
-        results = run_sweep(cfg)
+        results = run_sweep(cfg, tmp_path / "results.csv")
         assert all(r.status == "ok" for r in results)
 
         def dn_mean(c):
