@@ -9,15 +9,8 @@ from .activations import (
     alpha_for_curvature,
     d1,
     d2,
-    elu,
-    gelu,
-    leaky_relu,
     max_abs_d2,
-    mish,
     rct_af,
-    relu,
-    softplus,
-    swish,
     value,
 )
 from .attacks import (
@@ -27,7 +20,7 @@ from .attacks import (
     pgd_batch,
     robust_accuracy,
 )
-from .data import Dataset, GeneratorSpec, circles, gaussian_blobs, make_dataset, two_moons
+from .data import Dataset, GeneratorSpec, make_dataset
 from .errors import (
     CurvactError,
     ResultsFormatError,
@@ -47,7 +40,6 @@ from .network import (
     forward,
     forward_batch,
     init_network,
-    load_network,
     loss,
     mean_loss,
 )
@@ -85,41 +77,30 @@ __all__ = [
     "TrainingHistory",
     "UnsupportedActivationError",
     "alpha_for_curvature",
-    "circles",
     "clean_accuracy",
     "d1",
     "d2",
     "dataset_diag_norm",
     "default_sweep_config",
-    "elu",
     "fgsm",
     "flat_params",
     "forward",
     "forward_batch",
-    "gaussian_blobs",
-    "gelu",
     "hessian_diag_exact",
     "hessian_diag_fd",
     "init_network",
-    "leaky_relu",
-    "load_network",
     "loss",
     "make_dataset",
     "max_abs_d2",
     "mean_loss",
-    "mish",
     "normalized_diag_norm",
     "pgd_batch",
     "rct_af",
     "read_sweep_results",
-    "relu",
     "render_chart",
     "robust_accuracy",
     "run_sweep",
-    "softplus",
-    "swish",
     "train_network",
-    "two_moons",
     "value",
     "write_chart",
 ]

@@ -8,10 +8,11 @@ applying the map sigma -> sigma' * x:
     beta = 2:   x * d/dx[beta=1 member]        peak |sigma''| = alpha
 
 All three peaks sit at x = 0 and sigma'' is even, so alpha dials the
-maximum curvature of the activation directly.  Baselines (ReLU, LeakyReLU,
-ELU, GELU, Swish, Mish, Softplus) come with matching derivatives where
-they exist.  Softplus and Swish are the family members with alpha = 1 and
-beta = 0, 1, bit for bit (multiplying by alpha = 1.0 is exact).
+maximum curvature of the activation directly.  The baselines are the
+other kinds of ActivationSpec (relu, leaky_relu, elu, gelu, swish, mish,
+softplus), with matching derivatives where they exist.  Softplus and
+Swish are the family members with alpha = 1 and beta = 0, 1, bit for bit
+(multiplying by alpha = 1.0 is exact).
 max_abs_d2 gives every kind's peak of |sigma''| in closed form (ELU and
 GELU peak at x = 0 too) but Mish's, which takes a bounded scalar search.
 
@@ -82,6 +83,8 @@ class ActivationSpec(Record):
                 raise ValueError("rct_af requires finite alpha > 0")
             if self.beta not in (0, 1, 2):
                 raise ValueError("rct_af requires beta in {0, 1, 2}")
+            # An integral float such as 1.0 passes the test above; beta indexes tuples.
+            object.__setattr__(self, "beta", int(self.beta))
         else:
             if self.alpha is not None or self.beta is not None:
                 raise ValueError(f"{self.kind} takes no alpha/beta parameters")
@@ -95,7 +98,7 @@ class ActivationSpec(Record):
 
 
 def rct_af(alpha: float, beta: int) -> ActivationSpec:
-    return ActivationSpec("rct_af", alpha=float(alpha), beta=int(beta))
+    return ActivationSpec("rct_af", alpha=float(alpha), beta=beta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,34 +122,6 @@ class FamilyStack:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "runs", tuple(
             (int(beta[lo]) if lo < hi else 0, lo, hi) for lo, hi in zip(cuts, cuts[1:])))
-
-
-def relu() -> ActivationSpec:
-    return ActivationSpec("relu")
-
-
-def leaky_relu(slope: float = 0.01) -> ActivationSpec:
-    return ActivationSpec("leaky_relu", slope=float(slope))
-
-
-def elu() -> ActivationSpec:
-    return ActivationSpec("elu")
-
-
-def gelu() -> ActivationSpec:
-    return ActivationSpec("gelu")
-
-
-def swish() -> ActivationSpec:
-    return ActivationSpec("swish")
-
-
-def mish() -> ActivationSpec:
-    return ActivationSpec("mish")
-
-
-def softplus() -> ActivationSpec:
-    return ActivationSpec("softplus")
 
 
 def _check_input(x) -> np.ndarray:
@@ -340,4 +315,4 @@ def alpha_for_curvature(beta: int, target: float) -> float:
         raise ValueError("beta must be in {0, 1, 2}")
     if not math.isfinite(target) or target <= 0:
         raise ValueError("curvature target must be finite and positive")
-    return _PEAK_DIVISORS[beta] * target
+    return _PEAK_DIVISORS[int(beta)] * target

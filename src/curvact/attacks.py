@@ -2,7 +2,9 @@
 
 Labels are +/-1 and the readout is the sign of the network output; a
 sample counts as correctly classified only when sign(f) equals its label,
-so an exact zero output is always wrong.
+so an exact zero output is always wrong.  fgsm and pgd_batch take a batch
+of rows, shape (n, d), and one label per row; one sample is the batch
+X[:1], y[:1].
 
 Perturbations never leave the epsilon-ball around the clean input: the
 projection clips to per-element bounds that are pre-corrected for
@@ -107,23 +109,17 @@ def _check_labels(X: np.ndarray, y) -> np.ndarray:
     return y
 
 
-def fgsm(net: Network, x, y, epsilon: float) -> np.ndarray:
-    """Single signed-gradient step of size epsilon; sign(0) moves nothing.
-
-    Accepts one sample (1-D x, scalar y) or a batch (2-D x, label vector);
-    the batch form shares its gradient path with pgd_batch so a one-step
-    PGD without random start reproduces it bit for bit.
-    """
+def fgsm(net: Network, X, y, epsilon: float) -> np.ndarray:
+    """One signed-gradient step of size epsilon on the rows of X, shape
+    (n, d), one label per row (one sample is X[:1], y[:1]); sign(0) moves
+    nothing.  It shares its gradient path with pgd_batch, so a one-step
+    PGD without random start reproduces it bit for bit."""
     if not math.isfinite(epsilon) or epsilon < 0:
         raise ValueError("epsilon must be finite and non-negative")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return fgsm(net, x[None, :], np.array([float(y)]), epsilon)[0]
-    x = _check_finite(x)
-    y = np.asarray(y, dtype=np.float64)
-    g = grad_input_batch(net, x, y)
-    lo, hi = _ball_bounds(x, epsilon)
-    return np.minimum(np.maximum(x + epsilon * np.sign(g), lo), hi)
+    X = _check_finite(np.asarray(X, dtype=np.float64))
+    g = grad_input_batch(net, X, y)
+    lo, hi = _ball_bounds(X, epsilon)
+    return np.minimum(np.maximum(X + epsilon * np.sign(g), lo), hi)
 
 
 def pgd_batch(

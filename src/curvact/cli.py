@@ -28,7 +28,7 @@ from .activations import (
 )
 from .errors import CurvactError, ResultsFormatError, UnsupportedActivationError
 from .hessian import hessian_diag_exact, hessian_diag_fd
-from .network import Network, forward, init_network, load_network
+from .network import Network, forward, init_network
 from .svg import ChartSpec, Series, write_chart
 from .training import (
     SweepConfig,
@@ -187,7 +187,10 @@ def cmd_hessian_check(args) -> int:
         raise _UsageError("tolerance must be finite and non-negative")
     rng = np.random.default_rng(args.seed)
     tol = args.tolerance
-    explicit = load_network(args.net) if args.net is not None else None
+    explicit = None
+    if args.net is not None:
+        with open(args.net, "r", encoding="utf-8") as fh:
+            explicit = Network.from_dict(json.load(fh))
     worst_err = 0.0
     ratio_by_hidden: dict[int, float] = {}
     params_checked = 0

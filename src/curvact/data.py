@@ -54,18 +54,6 @@ class GeneratorSpec(Record):
                 raise ValueError("gaussian_blobs takes no noise parameter")
 
 
-def two_moons(noise: float = 0.1) -> GeneratorSpec:
-    return GeneratorSpec("two_moons", noise=float(noise))
-
-
-def circles(noise: float = 0.1, ratio: float = 0.5) -> GeneratorSpec:
-    return GeneratorSpec("circles", noise=float(noise), ratio=float(ratio))
-
-
-def gaussian_blobs(separation: float = 4.0) -> GeneratorSpec:
-    return GeneratorSpec("gaussian_blobs", separation=float(separation))
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Inputs, labels and a fixed 80/20 split, tagged with their provenance."""

@@ -40,7 +40,6 @@ the same code on 2-D arrays.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,11 +183,6 @@ def stack_params(net: Network, rows) -> NetworkStack:
         biases.append(rows[:, off:off + n_out].reshape(S, 1, n_out))
         off += n_out
     return NetworkStack(net.widths, weights, biases, net.activation)
-
-
-def load_network(path) -> Network:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Network.from_dict(json.load(fh))
 
 
 def init_network(

@@ -32,7 +32,7 @@ import numpy as np
 
 from .activations import alpha_for_curvature, rct_af
 from .attacks import AttackConfig, clean_accuracy, pgd_batch, robust_accuracy
-from .data import Dataset, GeneratorSpec, make_dataset, two_moons
+from .data import Dataset, GeneratorSpec, make_dataset
 from .errors import NonFiniteError, ResultsFormatError, TrainingDivergedError
 from .hessian import dataset_diag_norm
 from .network import (
@@ -260,13 +260,15 @@ class SweepConfig(Record):
 
 
 def default_sweep_config() -> SweepConfig:
-    """Desk-scale defaults: two moons, a 2-16-16-1 net, 5 seeds per cell."""
+    """Desk-scale defaults: 240 points of GeneratorSpec("two_moons",
+    noise=0.04), a 2-16-16-1 net, 10 curvature targets for each of the
+    3 betas, and 5 seeds per cell."""
     return SweepConfig(
         curvature_targets=(0.5, 1.0, 2.0, 4.0, 7.0, 10.0, 15.0, 20.0, 30.0, 50.0),
         betas=(0, 1, 2),
         seeds=(0, 1, 2, 3, 4),
         widths=(2, 16, 16, 1),
-        dataset=two_moons(noise=0.04),
+        dataset=GeneratorSpec("two_moons", noise=0.04),
         dataset_n=240,
         dataset_seed=7,
         train=TrainConfig(
@@ -430,7 +432,7 @@ def run_sweep(
     config: SweepConfig,
     results_path,
     jobs: int = 1,
-    resume: bool = True,
+    resume: bool = False,
     progress=None,
 ) -> list[SweepResult]:
     """Run every (beta, curvature, seed) cell exactly once, one row per
@@ -438,19 +440,23 @@ def run_sweep(
 
     The cells still to run are grouped by seed and each group runs as one
     stack (run_cells), its cells in grid order; rows are appended (and
-    flushed) as groups finish.  With resume true, the rows already in the
+    flushed) as groups finish.  By default the file starts afresh.  With
+    resume true, as `curvact sweep --resume`, the rows already in the
     file are honoured, so a partial file picks up where it left off and
-    an interrupted group recomputes only its unfinished cells; otherwise
-    the file starts afresh.  The existing rows are read by
-    read_sweep_results, and a file it refuses is not resumed but left as
-    it is (its ResultsFormatError), as is any file when widths[0] is not
-    the dataset's input dimension (ValueError).  jobs > 1 fans groups out
-    to min(jobs, groups) worker processes; when the last wave has fewer
-    groups than workers, each of its groups runs as one group per beta,
-    so the workers share it.  Rows do not depend on the grouping, and the
-    returned list is always in canonical grid order, whatever the order
-    of rows in the file.
+    an interrupted group recomputes only its unfinished cells; only the
+    header is compared, so the file must come from the same config.  The
+    existing rows are read by read_sweep_results, and a file it refuses
+    is not resumed but left as it is (its ResultsFormatError), as is any
+    file when jobs is below 1 or widths[0] is not the dataset's input
+    dimension (ValueError).  jobs > 1 fans groups out to min(jobs, groups)
+    worker processes; when the last wave has fewer groups than workers,
+    each of its groups runs as one group per beta, so the workers share
+    it.  Rows do not depend on the grouping, and the returned list is
+    always in canonical grid order, whatever the order of rows in the
+    file.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     dataset = make_dataset(config.dataset, config.dataset_n, config.dataset_seed)
     if config.widths[0] != dataset.inputs.shape[1]:
         raise ValueError(f"widths[0] = {config.widths[0]} does not match the dataset's "
@@ -494,7 +500,7 @@ def run_sweep(
             if progress is not None:
                 progress("done", result)
 
-        if jobs <= 1 or len(groups) <= 1:
+        if jobs == 1 or len(groups) <= 1:
             for s, group in groups:
                 for result in run_cells(config, dataset, group, s):
                     record(result)

@@ -25,20 +25,7 @@ import numpy as np
 import pytest
 from scipy.stats import mannwhitneyu
 
-from curvact.activations import (
-    d1,
-    d2,
-    elu,
-    gelu,
-    leaky_relu,
-    max_abs_d2,
-    mish,
-    rct_af,
-    relu,
-    softplus,
-    swish,
-    value,
-)
+from curvact.activations import ActivationSpec, d1, d2, max_abs_d2, rct_af, value
 from curvact.attacks import (
     AttackConfig,
     clean_accuracy,
@@ -46,7 +33,7 @@ from curvact.attacks import (
     pgd_batch,
     robust_accuracy,
 )
-from curvact.data import make_dataset, two_moons
+from curvact.data import GeneratorSpec, make_dataset
 from curvact.hessian import hessian_diag_exact
 from curvact.network import forward, init_network
 from curvact.training import (
@@ -74,13 +61,13 @@ def _verdict(num: int, title: str, ok: bool, detail: str) -> str:
 
 _MAXIMA_ALPHAS = (1.0, 5.0, 10.0, 15.0, 20.0, 28.0, 50.0)
 _TABLE_ROWS = (
-    ("gelu", gelu, 0.798, 0.005),
-    ("swish", swish, 0.5, 1e-6),
+    ("gelu", ActivationSpec("gelu"), 0.798, 0.005),
+    ("swish", ActivationSpec("swish"), 0.5, 1e-6),
     # x * tanh(softplus(x)) peaks in |second derivative| at 0.6442046372...
     # near x = -0.0879344: a 50-digit mpmath differentiation agrees, and
     # tests/test_activations.py pins the same value to 1e-9.
-    ("mish", mish, 0.644, 0.005),
-    ("elu", elu, 1.0, 1e-3),
+    ("mish", ActivationSpec("mish"), 0.644, 0.005),
+    ("elu", ActivationSpec("elu"), 1.0, 1e-3),
 )
 
 
@@ -97,10 +84,9 @@ def _curvature_maxima():
 
 
 def _baseline_table():
-    bounded = {name: max_abs_d2(factory()).max_abs_d2
-               for name, factory, _, _ in _TABLE_ROWS}
-    unbounded = {name: max_abs_d2(spec).max_abs_d2
-                 for name, spec in (("relu", relu()), ("leaky_relu", leaky_relu()))}
+    bounded = {name: max_abs_d2(spec).max_abs_d2 for name, spec, _, _ in _TABLE_ROWS}
+    unbounded = {name: max_abs_d2(ActivationSpec(name)).max_abs_d2
+                 for name in ("relu", "leaky_relu")}
     return bounded, unbounded
 
 
@@ -108,9 +94,8 @@ def _derivative_grids():
     xs = np.linspace(-10.0, 10.0, 401)
     specs = [(f"rct_af({a:g},{b})", rct_af(a, b))
              for a in (1.0, 5.0, 10.0, 20.0) for b in (0, 1, 2)]
-    specs += [(name, factory()) for name, factory in
-              (("gelu", gelu), ("swish", swish), ("mish", mish),
-               ("softplus", softplus), ("elu", elu))]
+    specs += [(kind, ActivationSpec(kind))
+              for kind in ("gelu", "swish", "mish", "softplus", "elu")]
     cases = []
     for label, spec in specs:
         got1 = d1(spec, xs)
@@ -472,7 +457,7 @@ def test_09_clean_accuracy_floor_at_low_curvature(default_sweep_rows):
 
 
 def test_10_attack_budget_and_fgsm_equivalence():
-    dataset = make_dataset(two_moons(noise=0.04), 240, 7)
+    dataset = make_dataset(GeneratorSpec("two_moons", noise=0.04), 240, 7)
     base = init_network((2, 16, 16, 1), rct_af(7.0, 1), seed=1, scheme="xavier")
     trained, _ = train_network(base, dataset, TrainConfig(
         epochs=10, batch_size=16, learning_rate=0.08, momentum=0.9), 0)
@@ -496,7 +481,7 @@ def test_10_attack_budget_and_fgsm_equivalence():
         fgsm(trained, X, y, attack.epsilon))
     single_equal = np.array_equal(
         pgd_batch(trained, X[:1], y[:1], one_step, rng_seed=5)[0],
-        fgsm(trained, X[0], float(y[0]), attack.epsilon))
+        fgsm(trained, X[:1], y[:1], attack.epsilon)[0])
     ok = ball_ok and batch_equal and single_equal
     msg = _verdict(10, "attack budget and fgsm equivalence", ok,
                    f"max |perturbation| over {attack.steps} steps x "

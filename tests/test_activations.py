@@ -18,33 +18,31 @@ from curvact.activations import (
     alpha_for_curvature,
     d1,
     d2,
-    elu,
-    gelu,
-    leaky_relu,
     max_abs_d2,
-    mish,
     rct_af,
-    relu,
-    softplus,
-    swish,
     value,
 )
 from curvact.errors import UnsupportedActivationError
 
 from helpers import fd_first
 
-SMOOTH_BASELINES = (gelu(), swish(), mish(), softplus())
+SMOOTH_BASELINES = tuple(ActivationSpec(kind) for kind in ("gelu", "swish", "mish", "softplus"))
 
 # (spec, x, value, d1, d2) frozen from high-precision evaluation.
 FROZEN_POINTS = (
     (rct_af(5.0, 2), 0.3, 0.31238824628974288, 1.275590531744448, -0.39307118337916998),
     (rct_af(3.0, 1), -0.8, -0.066538157195137897, -0.099839301230523015, -0.00017639081333244719),
     (rct_af(10.0, 0), 0.25, 0.25788897342925496, 0.92414181997875645, 0.70103716545108157),
-    (gelu(), 0.7, 0.53062544344384889, 0.97661410113365987, 0.4715034393838095),
-    (swish(), -1.3, -0.2784145220446738, -0.0046228542523369121, 0.2115222700237915),
-    (mish(), 0.9, 0.76120592895251527, 1.0279182005317524, 0.23834994801875394),
-    (softplus(), -2.1, 0.11551952317975497, 0.10909682119561294, 0.097194704800625398),
-    (elu(), -0.6, -0.45118836390597357, 0.54881163609402643, 0.54881163609402643),
+    (ActivationSpec("gelu"), 0.7,
+     0.53062544344384889, 0.97661410113365987, 0.4715034393838095),
+    (ActivationSpec("swish"), -1.3,
+     -0.2784145220446738, -0.0046228542523369121, 0.2115222700237915),
+    (ActivationSpec("mish"), 0.9,
+     0.76120592895251527, 1.0279182005317524, 0.23834994801875394),
+    (ActivationSpec("softplus"), -2.1,
+     0.11551952317975497, 0.10909682119561294, 0.097194704800625398),
+    (ActivationSpec("elu"), -0.6,
+     -0.45118836390597357, 0.54881163609402643, 0.54881163609402643),
 )
 
 
@@ -61,7 +59,11 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ActivationSpec(kind="tanh")
     with pytest.raises(ValueError):
-        leaky_relu(slope=0.0)
+        ActivationSpec("leaky_relu", slope=0.0)
+    with pytest.raises(ValueError, match="slope"):
+        ActivationSpec("gelu", slope=0.1)
+    with pytest.raises(ValueError, match="beta"):
+        rct_af(1.0, 1.5)
 
 
 def test_known_point_values():
@@ -71,11 +73,11 @@ def test_known_point_values():
     assert value(rct_af(10.0, 0), 5.0) == pytest.approx(5.0, abs=1e-9)
     assert value(rct_af(1.0, 1), 1.0) == pytest.approx(0.73105857863000488, rel=1e-15)
     assert d1(rct_af(3.0, 0), 0.0) == 0.5
-    assert d1(relu(), -2.0) == 0.0
+    assert d1(ActivationSpec("relu"), -2.0) == 0.0
     assert d2(rct_af(4.0, 0), 0.0) == pytest.approx(1.0, rel=1e-14)
     assert d2(rct_af(2.0, 1), 0.0) == pytest.approx(1.0, rel=1e-14)
     assert d2(rct_af(7.0, 2), 0.0) == pytest.approx(7.0, rel=1e-14)
-    assert d2(gelu(), 0.0) == pytest.approx(0.79788456080286536, rel=1e-14)
+    assert d2(ActivationSpec("gelu"), 0.0) == pytest.approx(0.79788456080286536, rel=1e-14)
 
 
 @pytest.mark.parametrize("spec,x,v_ref,d1_ref,d2_ref", FROZEN_POINTS,
@@ -99,7 +101,7 @@ def test_rectifying_asymptotes():
 def test_scalar_and_array_agreement():
     """Scalar calls return floats equal to the array path elementwise."""
     xs = np.linspace(-4.0, 4.0, 17)
-    for spec in (rct_af(5.0, 2), gelu(), mish()):
+    for spec in (rct_af(5.0, 2), ActivationSpec("gelu"), ActivationSpec("mish")):
         arr = value(spec, xs)
         for i, x in enumerate(xs):
             out = value(spec, float(x))
@@ -112,7 +114,7 @@ def test_nonfinite_input_rejected():
         with pytest.raises(ValueError):
             value(rct_af(1.0, 0), bad)
         with pytest.raises(ValueError):
-            d1(gelu(), np.array([0.0, bad]))
+            d1(ActivationSpec("gelu"), np.array([0.0, bad]))
 
 
 @pytest.mark.parametrize("alpha", [1.0, 5.0, 10.0, 20.0])
@@ -151,7 +153,7 @@ def test_derivatives_match_fd_baselines(spec):
 def test_elu_derivatives_off_kink():
     """ELU derivative checks avoid 0, where the second derivative jumps."""
     xs = np.linspace(-10.0, 10.0, 400) + 0.013
-    spec = elu()
+    spec = ActivationSpec("elu")
     fd1 = fd_first(lambda z: value(spec, z), xs)
     fd2 = fd_first(lambda z: d1(spec, z), xs)
     assert np.all(np.abs(d1(spec, xs) - fd1) <= 1e-6 * np.maximum(1.0, np.abs(d1(spec, xs))))
@@ -207,21 +209,23 @@ def test_extreme_argument_stability():
 def test_relu_family_subgradient():
     """x = 0 uses the right-hand derivative and warns about the kink."""
     with pytest.warns(SubgradientWarning):
-        assert d1(relu(), 0.0) == 1.0
+        assert d1(ActivationSpec("relu"), 0.0) == 1.0
     with pytest.warns(SubgradientWarning):
-        assert d1(leaky_relu(), 0.0) == 1.0
-    assert d1(leaky_relu(0.2), -3.0) == 0.2
+        assert d1(ActivationSpec("leaky_relu"), 0.0) == 1.0
+    assert d1(ActivationSpec("leaky_relu", slope=0.2), -3.0) == 0.2
     with pytest.raises(UnsupportedActivationError):
-        d2(relu(), 1.0)
+        d2(ActivationSpec("relu"), 1.0)
     with pytest.raises(UnsupportedActivationError):
-        d2(leaky_relu(), 1.0)
+        d2(ActivationSpec("leaky_relu"), 1.0)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 5.0, 10.0, 15.0, 20.0, 28.0, 50.0])
 def test_curvature_maxima_analytic(alpha):
     """Peak |d2| is alpha/4, alpha/2, alpha at x = 0 for beta 0, 1, 2."""
-    for beta, scale in ((0, 0.25), (1, 0.5), (2, 1.0)):
-        prof = max_abs_d2(rct_af(alpha, beta))
+    # An integral float beta, as 1.0, is stored as the int it equals.
+    for beta, scale in ((0, 0.25), (1, 0.5), (2, 1.0), (1.0, 0.5)):
+        prof = max_abs_d2(ActivationSpec("rct_af", alpha=alpha, beta=beta))
+        assert type(prof.spec.beta) is int
         assert prof.argmax_x == 0.0
         assert prof.max_abs_d2 == pytest.approx(alpha * scale, rel=1e-12)
         assert not prof.unbounded
@@ -233,7 +237,8 @@ def test_curvature_maxima_against_grid_oracle():
     that max_abs_d2 searches."""
     cases = [(rct_af(alpha, beta), np.linspace(-50.0 / alpha, 50.0 / alpha, 30001))
              for alpha in (1.0, 15.0, 50.0) for beta in (0, 1, 2)]
-    cases += [(spec, np.linspace(-20.0, 20.0, 400001)) for spec in (elu(), gelu(), mish())]
+    cases += [(ActivationSpec(kind), np.linspace(-20.0, 20.0, 400001))
+              for kind in ("elu", "gelu", "mish")]
     for spec, xs in cases:
         grid_peak = float(np.abs(d2(spec, xs)).max())
         prof = max_abs_d2(spec)
@@ -243,20 +248,22 @@ def test_curvature_maxima_against_grid_oracle():
 
 def test_baseline_curvature_values():
     """Baseline peaks match frozen high-precision maximizations."""
-    assert max_abs_d2(gelu()).max_abs_d2 == pytest.approx(0.79788456080286536, rel=1e-9)
-    assert max_abs_d2(swish()).max_abs_d2 == pytest.approx(0.5, rel=1e-12)
-    assert max_abs_d2(elu()).max_abs_d2 == pytest.approx(1.0, rel=1e-12)
-    mish_prof = max_abs_d2(mish())
+    assert (max_abs_d2(ActivationSpec("gelu")).max_abs_d2
+            == pytest.approx(0.79788456080286536, rel=1e-9))
+    assert max_abs_d2(ActivationSpec("swish")).max_abs_d2 == pytest.approx(0.5, rel=1e-12)
+    assert max_abs_d2(ActivationSpec("elu")).max_abs_d2 == pytest.approx(1.0, rel=1e-12)
+    mish_prof = max_abs_d2(ActivationSpec("mish"))
     assert mish_prof.max_abs_d2 == pytest.approx(0.6442046372369724, rel=1e-9)
     assert mish_prof.argmax_x == pytest.approx(-0.08793443131491421, abs=1e-6)
-    assert max_abs_d2(softplus()).max_abs_d2 == pytest.approx(0.25, rel=1e-9)
+    assert max_abs_d2(ActivationSpec("softplus")).max_abs_d2 == pytest.approx(0.25, rel=1e-9)
     # elu and gelu peak at exactly 0, where d2 gives the peak's bits.
-    for spec in (elu(), gelu()):
+    for spec in (ActivationSpec("elu"), ActivationSpec("gelu")):
         prof = max_abs_d2(spec)
         assert (prof.argmax_x, prof.max_abs_d2) == (0.0, d2(spec, 0.0))
 
 
-@pytest.mark.parametrize("spec, beta", [(softplus(), 0), (swish(), 1)])
+@pytest.mark.parametrize("spec, beta",
+                         [(ActivationSpec("softplus"), 0), (ActivationSpec("swish"), 1)])
 def test_family_kinds_report_their_member_peak(spec, beta):
     """softplus and swish are the family members (1, 0) and (1, 1), so
     their peak is the member's closed form, not a searched estimate."""
@@ -266,7 +273,7 @@ def test_family_kinds_report_their_member_peak(spec, beta):
 
 
 def test_relu_family_curvature_unbounded():
-    for spec in (relu(), leaky_relu()):
+    for spec in (ActivationSpec("relu"), ActivationSpec("leaky_relu")):
         prof = max_abs_d2(spec)
         assert prof.unbounded
         assert np.isinf(prof.max_abs_d2)
@@ -279,6 +286,7 @@ def test_alpha_for_curvature_round_trip():
         prof = max_abs_d2(rct_af(alpha, beta))
         assert prof.max_abs_d2 == pytest.approx(7.0, rel=1e-9)
     assert alpha_for_curvature(1, 0.5) == 1.0
+    assert alpha_for_curvature(1.0, 7.0) == 14.0
     with pytest.raises(ValueError):
         alpha_for_curvature(3, 1.0)
     with pytest.raises(ValueError):
@@ -298,13 +306,15 @@ def test_beta1_curvature_half_matches_swish():
     """rct_af(1, 1) is the standard swish, bit for bit: multiplying by
     alpha = 1.0 is exact."""
     for fn in (value, d1, d2):
-        _assert_same_bits(fn(rct_af(1.0, 1), _IDENTITY_XS), fn(swish(), _IDENTITY_XS))
+        _assert_same_bits(fn(rct_af(1.0, 1), _IDENTITY_XS),
+                          fn(ActivationSpec("swish"), _IDENTITY_XS))
 
 
 def test_softplus_identity_with_beta0():
     """rct_af(1, 0) is the softplus baseline, bit for bit."""
     for fn in (value, d1, d2):
-        _assert_same_bits(fn(rct_af(1.0, 0), _IDENTITY_XS), fn(softplus(), _IDENTITY_XS))
+        _assert_same_bits(fn(rct_af(1.0, 0), _IDENTITY_XS),
+                          fn(ActivationSpec("softplus"), _IDENTITY_XS))
 
 
 @pytest.mark.parametrize("betas", [(0,) * 6, (1,) * 6, (2,) * 6, (0, 0, 1, 2, 2, 1)],
@@ -334,9 +344,12 @@ def test_json_round_trip():
     blob = spec.to_dict()
     assert blob == {"kind": "rct_af", "alpha": 14.0, "beta": 1}
     assert ActivationSpec.from_dict(json.loads(json.dumps(blob))) == spec
-    assert gelu().to_dict() == {"kind": "gelu"}
-    assert ActivationSpec.from_dict({"kind": "leaky_relu", "slope": 0.05}) == leaky_relu(0.05)
+    assert ActivationSpec("gelu").to_dict() == {"kind": "gelu"}
+    assert (ActivationSpec.from_dict({"kind": "leaky_relu", "slope": 0.05})
+            == ActivationSpec("leaky_relu", slope=0.05))
     with pytest.raises(ValueError):
         ActivationSpec.from_dict({"kind": "rct_af", "alpha": 2.0})
     with pytest.raises(ValueError):
         ActivationSpec.from_dict({"kind": "gelu", "alpha": 2.0})
+    with pytest.raises(ValueError, match=r"ActivationSpec\.kind must be a string"):
+        ActivationSpec.from_dict({"kind": 3})

@@ -17,7 +17,7 @@ from curvact.attacks import (
     pgd_batch,
     robust_accuracy,
 )
-from curvact.data import make_dataset, two_moons
+from curvact.data import GeneratorSpec, make_dataset
 from curvact.network import (
     NetworkStack,
     forward_batch,
@@ -40,7 +40,7 @@ def _linear_net(w, b=0.0):
 
 
 def _moon_batch(n=40, seed=3):
-    ds = make_dataset(two_moons(noise=0.1), n=n, seed=seed)
+    ds = make_dataset(GeneratorSpec("two_moons", noise=0.1), n=n, seed=seed)
     return ds.inputs, ds.labels
 
 
@@ -84,22 +84,26 @@ class TestAttackConfig:
 class TestFgsm:
     def test_zero_epsilon_returns_input(self):
         net = _linear_net([1.0, -2.0])
-        x = np.array([0.4, -0.7])
-        np.testing.assert_array_equal(fgsm(net, x, 0.0, epsilon=0.0), x)
+        X = np.array([[0.4, -0.7]])
+        np.testing.assert_array_equal(fgsm(net, X, [0.0], epsilon=0.0), X)
+
+    def test_takes_a_batch_only(self):
+        net = _linear_net([1.0, -2.0])
+        with pytest.raises(ValueError, match="batch"):
+            fgsm(net, np.array([0.4, -0.7]), 1.0, epsilon=0.1)
 
     def test_linear_net_moves_along_signed_gradient(self):
         net = _linear_net([1.0, -2.0])
-        x = np.array([0.3, 0.7])
-        f = float(forward_batch(net, x[None, :]).f[0])
-        y = f - 1.0
-        out = fgsm(net, x, y, epsilon=0.25)
-        np.testing.assert_allclose(out, x + 0.25 * np.array([1.0, -1.0]),
+        X = np.array([[0.3, 0.7]])
+        y = forward_batch(net, X).f - 1.0
+        out = fgsm(net, X, y, epsilon=0.25)
+        np.testing.assert_allclose(out, X + 0.25 * np.array([1.0, -1.0]),
                                    rtol=0, atol=1e-15)
 
     def test_zero_gradient_coordinate_stays_put(self):
         net = _linear_net([0.0, 1.0])
         x = np.array([0.5, 0.5])
-        out = fgsm(net, x, forward_batch(net, x[None, :]).f[0] + 1.0, epsilon=0.3)
+        out = fgsm(net, x[None, :], forward_batch(net, x[None, :]).f + 1.0, epsilon=0.3)[0]
         assert out[0] == x[0]
         assert out[1] == x[1] - 0.3
 
@@ -109,7 +113,7 @@ class TestFgsm:
             net = _linear_net(rng.normal(size=3), b=float(rng.normal()))
             x = rng.normal(size=3)
             y = float(rng.choice((-1.0, 1.0)))
-            out = fgsm(net, x, y, epsilon=0.4)
+            out = fgsm(net, x[None, :], [y], epsilon=0.4)[0]
             assert loss(net, out, y) >= loss(net, x, y)
 
     def test_budget_and_bounds_hold(self):
@@ -117,7 +121,7 @@ class TestFgsm:
         # coordinate is walked back one float; 0.2 + 0.3 is exact.
         net = _linear_net([1.0, 1.0])
         x = np.array([0.95, 0.2])
-        out = fgsm(net, x, -2.0, epsilon=0.3)
+        out = fgsm(net, x[None, :], [-2.0], epsilon=0.3)[0]
         assert np.max(np.abs(out - x)) <= 0.3
         assert out[0] == np.nextafter(0.95 + 0.3, 0.0)
         assert out[1] == 0.2 + 0.3
@@ -139,14 +143,15 @@ class TestFgsm:
     def test_rejects_negative_epsilon(self):
         net = _linear_net([1.0])
         with pytest.raises(ValueError, match="epsilon"):
-            fgsm(net, np.array([0.0]), 1.0, epsilon=-0.1)
+            fgsm(net, np.zeros((1, 1)), [1.0], epsilon=-0.1)
 
     def test_batch_rows_match_single_calls(self):
         net = init_network((2, 6, 1), rct_af(7.0, 1), seed=5)
         X, y = _moon_batch(n=12, seed=9)
         batch = fgsm(net, X, y, epsilon=0.2)
         for i in range(X.shape[0]):
-            np.testing.assert_array_equal(batch[i], fgsm(net, X[i], y[i], epsilon=0.2))
+            np.testing.assert_array_equal(batch[i],
+                                          fgsm(net, X[i:i + 1], y[i:i + 1], epsilon=0.2)[0])
 
 
 class TestPgd:
@@ -197,7 +202,7 @@ class TestPgd:
         np.testing.assert_array_equal(pgd_batch(net, X, y, cfg, rng_seed=0),
                                       fgsm(net, X, y, epsilon=0.3))
         np.testing.assert_array_equal(pgd_batch(net, X[:1], y[:1], cfg, rng_seed=0)[0],
-                                      fgsm(net, X[0], y[0], epsilon=0.3))
+                                      fgsm(net, X[:1], y[:1], epsilon=0.3)[0])
 
     def test_zero_epsilon_is_identity(self):
         cfg = AttackConfig(epsilon=0.0, step_size=0.1, steps=5, random_start=True)
@@ -242,7 +247,7 @@ class TestPgd:
             pgd_batch(net, X, y, AttackConfig(1e308, 0.1, 2, True), rng_seed=0)
 
     def test_pgd_dominates_fgsm_on_trained_net(self):
-        ds = make_dataset(two_moons(noise=0.1), n=200, seed=5)
+        ds = make_dataset(GeneratorSpec("two_moons", noise=0.1), n=200, seed=5)
         net = init_network((2, 8, 1), rct_af(7.0, 1), seed=0)
         cfg = TrainConfig(epochs=30, batch_size=16, learning_rate=0.1)
         trained, _ = train_network(net, ds, cfg, 0)
@@ -428,7 +433,7 @@ def test_rows_at_a_fixed_point_stay_there():
     does not change in any later step.  The eval attack on untrained nets
     of every beta at the grid's lowest and highest curvature (alpha up to
     200)."""
-    ds = make_dataset(two_moons(noise=0.1), n=5 * 4096, seed=7)
+    ds = make_dataset(GeneratorSpec("two_moons", noise=0.1), n=5 * 4096, seed=7)
     X, y = ds.x_test, ds.y_test
     cells = [(beta, c) for beta in (0, 1, 2) for c in (0.5, 50.0)]
     stack = stack_networks(_family_nets(cells))

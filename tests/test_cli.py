@@ -97,6 +97,12 @@ class TestActTable:
         assert main(["act-table", "rct_af:alpha=7,gamma=2"]) == 1
         assert main(["act-table", "no_such_activation"]) == 1
         capsys.readouterr()
+        for argv, message in ((["rct_af:alpha7"], "malformed activation parameter 'alpha7'"),
+                              (["rct_af:alpha=x,beta=1"],
+                               "non-numeric activation parameter 'alpha=x'"),
+                              (["gelu", "--x-min", "nan"], "x range must be finite")):
+            assert main(["act-table", *argv]) == 1
+            assert message in capsys.readouterr().err
 
 
 class TestCurvature:

@@ -20,7 +20,7 @@ import pytest
 import curvact.hessian as hess
 from curvact import activations as act
 from curvact import cli
-from curvact.activations import rct_af
+from curvact.activations import ActivationSpec, rct_af
 from curvact.errors import UnsupportedActivationError
 from curvact.hessian import (
     dataset_diag_norm,
@@ -105,8 +105,10 @@ class TestStackedOraclesEqualTheLoops:
 
     @pytest.mark.parametrize("hidden", [1, 2, 3, 4])
     @pytest.mark.parametrize("spec", [rct_af(7.0, 0), rct_af(7.0, 1), rct_af(28.0, 2),
-                                      act.relu(), act.leaky_relu(), act.elu(), act.gelu(),
-                                      act.swish(), act.mish(), act.softplus()],
+                                      ActivationSpec("relu"), ActivationSpec("leaky_relu"),
+                                      ActivationSpec("elu"), ActivationSpec("gelu"),
+                                      ActivationSpec("swish"), ActivationSpec("mish"),
+                                      ActivationSpec("softplus")],
                              ids=lambda spec: spec.kind + ("" if spec.beta is None else str(spec.beta)))
     def test_every_kind_and_depth(self, spec, hidden):
         rng = np.random.default_rng(hidden)
@@ -262,7 +264,7 @@ class TestDecomposition:
         # exactly 0.  Non-negative weights, zero biases and a positive input
         # keep every hidden pre-activation there, so the network is
         # curvature-free in z: the D table and the residual part vanish.
-        net = init_network((2, 3, 3, 1), act.elu(), seed=6)
+        net = init_network((2, 3, 3, 1), ActivationSpec("elu"), seed=6)
         net.weights = [np.abs(W) for W in net.weights]
         x = np.array([0.7, 1.3])
         assert all(np.all(z > 0.0) for z in forward(net, x).z[:-1])

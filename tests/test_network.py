@@ -8,8 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from curvact import activations as act
-from curvact.activations import SubgradientWarning, d1, d2, rct_af, value
+from curvact.activations import ActivationSpec, SubgradientWarning, d1, d2, rct_af, value
 from curvact.attacks import AttackConfig, clean_accuracy, fgsm, pgd_batch, robust_accuracy
 from curvact.errors import NonFiniteError, UnsupportedActivationError
 from curvact.hessian import dataset_diag_norm, hessian_diag_exact, hessian_diag_fd
@@ -22,7 +21,6 @@ from curvact.network import (
     grad_input_batch,
     grad_params_batch,
     init_network,
-    load_network,
     loss,
     mean_loss,
     stack_networks,
@@ -87,6 +85,15 @@ def test_init_validation():
         init_network((2, 3, 2), rct_af(1.0, 0), seed=0)
     with pytest.raises(ValueError):
         init_network((2, 3, 1), rct_af(1.0, 0), seed=0, scheme="lecun")
+    good = init_network((2, 3, 1), rct_af(1.0, 0), seed=0)
+    W, b = good.weights, good.biases
+    for widths, weights, biases, message in (
+            ((2, 0, 1), W, b, "positive"),
+            ((2, 3, 1), W[:1], b[:1], "expected 2 weight and bias arrays"),
+            ((2, 3, 1), [W[0].T, W[1]], b, r"layer 1 weight shape \(2, 3\) != \(3, 2\)"),
+            ((2, 3, 1), W, [b[0], np.zeros(2)], "layer 2 bias shape")):
+        with pytest.raises(ValueError, match=message):
+            Network(widths, weights, biases, good.activation)
 
 
 def test_xavier_scheme_bounds():
@@ -130,6 +137,10 @@ def test_forward_shape_errors():
         forward(net, np.zeros(3))
     with pytest.raises(ValueError):
         forward_batch(net, np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="1-D"):
+        forward(net, np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="order"):
+        forward_batch(net, np.zeros((4, 2)), order=3)
 
 
 _LABELLED_CALLS = {
@@ -294,7 +305,7 @@ def test_network_json_round_trip(tmp_path):
     blob = json.loads(path.read_text())
     assert set(blob) == {"widths", "activation", "weights", "biases"}
     assert blob["activation"] == {"kind": "rct_af", "alpha": 14.0, "beta": 1}
-    loaded = load_network(path)
+    loaded = Network.from_dict(json.loads(path.read_text()))
     assert loaded.widths == net.widths
     for l in range(net.depth):
         np.testing.assert_array_equal(loaded.weights[l], net.weights[l])
@@ -307,14 +318,17 @@ def test_network_json_in_the_older_key_order_loads(tmp_path):
     path = tmp_path / "old.json"
     path.write_text('{"widths": [2, 1], "activation": {"kind": "gelu"}, '
                     '"weights": [[[0.5, -1.25]]], "biases": [[0.125]]}')
-    net = load_network(path)
-    assert net.widths == (2, 1) and net.activation == act.gelu()
+    net = Network.from_dict(json.loads(path.read_text()))
+    assert net.widths == (2, 1) and net.activation == ActivationSpec("gelu")
     np.testing.assert_array_equal(net.weights[0], [[0.5, -1.25]])
     np.testing.assert_array_equal(net.biases[0], [0.125])
     path.write_text('{"widths": [2, 1], "activation": {"kind": "gelu"}, '
                     '"weights": [[[0.5, -1.25]]], "bias": [[0.125]]}')
     with pytest.raises(ValueError, match="bias"):
-        load_network(path)
+        Network.from_dict(json.loads(path.read_text()))
+    with pytest.raises(ValueError, match=r"Network\.weights\[0\] must be a numeric array"):
+        Network.from_dict({"widths": [2, 1], "activation": {"kind": "gelu"},
+                           "weights": [[["x", -1.25]]], "biases": [[0.125]]})
 
 
 def test_flat_params_round_trip():
@@ -328,9 +342,9 @@ def test_flat_params_round_trip():
         replace_params(net, vec[:-1])
 
 
-ALL_KIND_SPECS = [rct_af(7.0, 0), rct_af(7.0, 1), rct_af(7.0, 2), act.relu(),
-                  act.leaky_relu(), act.elu(), act.gelu(), act.swish(), act.mish(),
-                  act.softplus()]
+ALL_KIND_SPECS = [rct_af(7.0, 0), rct_af(7.0, 1), rct_af(7.0, 2), ActivationSpec("relu"),
+                  ActivationSpec("leaky_relu"), ActivationSpec("elu"), ActivationSpec("gelu"),
+                  ActivationSpec("swish"), ActivationSpec("mish"), ActivationSpec("softplus")]
 
 
 def _bits(a):
@@ -407,7 +421,8 @@ def test_overflow_in_a_deeper_hidden_layer_raises():
             call()
 
 
-@pytest.mark.parametrize("spec", [act.relu(), act.leaky_relu()], ids=["relu", "leaky_relu"])
+@pytest.mark.parametrize("spec", [ActivationSpec("relu"), ActivationSpec("leaky_relu")],
+                         ids=["relu", "leaky_relu"])
 def test_forward_only_calls_do_not_warn_at_a_kink(spec):
     """Every hidden pre-activation sits exactly on the kink; only a backward
     pass evaluates sigma' there."""
@@ -532,23 +547,23 @@ def test_stack_members_round_trip():
 def test_shared_activation_stack_round_trip():
     """A stack built from flat parameter rows: every member shares the
     net's activation, of any kind, and equals that net's own calls."""
-    net = init_network((3, 4, 5, 1), act.elu(), seed=2)
+    net = init_network((3, 4, 5, 1), ActivationSpec("elu"), seed=2)
     rng = np.random.default_rng(0)
     rows = flat_params(net) + rng.normal(scale=0.1, size=(4, net.param_count))
     stack = stack_params(net, rows)
-    assert len(stack) == 4 and stack.activation == act.elu()
+    assert len(stack) == 4 and stack.activation == ActivationSpec("elu")
     X, y = rng.normal(size=(6, 3)), rng.choice([-1.0, 1.0], size=6)
     g_par = grad_params_batch(stack, X, y)
     for k in range(len(stack)):
         member = stack.member(k)
-        assert member.activation == act.elu()
+        assert member.activation == ActivationSpec("elu")
         np.testing.assert_array_equal(flat_params(member), rows[k])
         assert mean_loss(stack, X, y)[k] == mean_loss(member, X, y)
         for (dW, db), (rW, rb) in zip(g_par, grad_params_batch(member, X, y)):
             np.testing.assert_array_equal(_bits(dW[k]), _bits(rW))
             np.testing.assert_array_equal(_bits(db[k, 0]), _bits(rb))
     picked = stack.take([3, 1])
-    assert picked.activation == act.elu()
+    assert picked.activation == ActivationSpec("elu")
     np.testing.assert_array_equal(flat_params(picked.member(0)), rows[3])
     with pytest.raises(ValueError, match="flat parameters"):
         stack_params(net, rows[:, :-1])
@@ -561,7 +576,7 @@ def test_stack_networks_rejects_what_cannot_share_one_pass():
         stack_networks([init_network((2, 4, 1), rct_af(1.0, 1), seed=0),
                         init_network((2, 5, 1), rct_af(1.0, 1), seed=0)])
     with pytest.raises(ValueError, match="rct_af"):
-        stack_networks([init_network((2, 4, 1), act.gelu(), seed=0)])
+        stack_networks([init_network((2, 4, 1), ActivationSpec("gelu"), seed=0)])
 
 
 def test_mixed_beta_take_crosses_runs_and_reaches_zero_members():

@@ -10,9 +10,9 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvact.activations import elu, gelu, leaky_relu, mish, rct_af, relu, softplus, swish
+from curvact.activations import ActivationSpec, rct_af
 from curvact.attacks import AttackConfig
-from curvact.data import circles, gaussian_blobs, two_moons
+from curvact.data import GeneratorSpec
 from curvact.training import TrainConfig
 
 _positive = st.floats(min_value=0.0, max_value=1e6, exclude_min=True)
@@ -20,15 +20,16 @@ _non_negative = st.floats(min_value=0.0, max_value=1e6)
 
 activation_specs = st.one_of(
     st.builds(rct_af, _positive, st.sampled_from((0, 1, 2))),
-    st.builds(leaky_relu, _positive),
-    st.sampled_from([relu(), elu(), gelu(), swish(), mish(), softplus()]),
+    st.builds(ActivationSpec, st.just("leaky_relu"), slope=_positive),
+    st.builds(ActivationSpec,
+              st.sampled_from(("relu", "elu", "gelu", "swish", "mish", "softplus"))),
 )
 
 generator_specs = st.one_of(
-    st.builds(two_moons, _non_negative),
-    st.builds(circles, _non_negative,
-              st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)),
-    st.builds(gaussian_blobs, _positive),
+    st.builds(GeneratorSpec, st.just("two_moons"), noise=_non_negative),
+    st.builds(GeneratorSpec, st.just("circles"), noise=_non_negative,
+              ratio=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)),
+    st.builds(GeneratorSpec, st.just("gaussian_blobs"), separation=_positive),
 )
 
 

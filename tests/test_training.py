@@ -18,7 +18,7 @@ import pytest
 from curvact import cli
 from curvact.activations import alpha_for_curvature, rct_af
 from curvact.attacks import AttackConfig, clean_accuracy
-from curvact.data import gaussian_blobs, make_dataset, two_moons
+from curvact.data import GeneratorSpec, make_dataset
 from curvact.errors import ResultsFormatError, TrainingDivergedError
 from curvact.network import flat_params, init_network, stack_networks
 import curvact.training
@@ -39,7 +39,7 @@ CACHE = Path(__file__).resolve().parent / "_sweep_cache" / "default_sweep.csv"
 
 
 def _moons(n=120, seed=4, noise=0.1):
-    return make_dataset(two_moons(noise=noise), n=n, seed=seed)
+    return make_dataset(GeneratorSpec("two_moons", noise=noise), n=n, seed=seed)
 
 
 def _quick_cfg(**overrides):
@@ -97,6 +97,7 @@ class TestTrainConfig:
         for cfg in (_quick_cfg(), _quick_cfg(attack=attack)):
             assert TrainConfig.from_dict(cfg.to_dict()) == cfg
         assert "attack" not in _quick_cfg().to_dict()
+        assert TrainConfig.from_dict({**_quick_cfg().to_dict(), "attack": None}) == _quick_cfg()
 
     def test_from_dict_names_missing_fields(self):
         with pytest.raises(ValueError, match="momentum"):
@@ -126,13 +127,13 @@ class TestTrainNetwork:
         assert len(history.train_loss) == 4
 
     def test_loss_drops_on_easy_data(self):
-        ds = make_dataset(gaussian_blobs(separation=6.0), n=200, seed=9)
+        ds = make_dataset(GeneratorSpec("gaussian_blobs", separation=6.0), n=200, seed=9)
         net = init_network((2, 8, 1), rct_af(7.0, 1), seed=0)
         _, history = train_network(net, ds, _quick_cfg(epochs=10), 1)
         assert history.train_loss[-1] < history.train_loss[0]
 
     def test_separable_blobs_reach_high_accuracy(self):
-        ds = make_dataset(gaussian_blobs(separation=6.0), n=250, seed=11)
+        ds = make_dataset(GeneratorSpec("gaussian_blobs", separation=6.0), n=250, seed=11)
         net = init_network((2, 16, 1), rct_af(14.0, 1), seed=3)
         cfg = TrainConfig(epochs=200, batch_size=32, learning_rate=0.05)
         trained, _ = train_network(net, ds, cfg, 3)
@@ -303,6 +304,11 @@ class TestSweepConfig:
         (None, "widths", [2, 4, 2], "widths"),
         (None, "betas", [1, 1], "betas"),
         (None, "seeds", [0, 0], "seeds"),
+        # A sequence that is not a list, a kind that is not a string, and a
+        # null attack, which the adversarial template must set.
+        (None, "seeds", 3, r"SweepConfig\.seeds must be a list"),
+        ("dataset", "kind", 3, r"SweepConfig\.dataset\.kind must be a string"),
+        ("train", "attack", None, r"train\.attack"),
     ])
     def test_from_dict_rejects_bad_input(self, section, key, value, field):
         data = default_sweep_config().to_dict()
@@ -536,6 +542,31 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="widths"):
             run_sweep(cfg, path, resume=False)
         assert path.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_fewer_than_one_job_is_refused_before_the_file(self, tmp_path, jobs):
+        path = tmp_path / "results.csv"
+        with pytest.raises(ValueError, match="jobs"):
+            run_sweep(_tiny_sweep(), path, jobs=jobs)
+        assert not path.exists()
+        path.write_text("kept\n")
+        with pytest.raises(ValueError, match="jobs"):
+            run_sweep(_tiny_sweep(), path, jobs=jobs)
+        assert path.read_text() == "kept\n"
+
+    def test_another_config_on_the_same_path_starts_afresh(self, tmp_path):
+        """Without resume=True a file left by another config is replaced,
+        not read back: resume compares only the header, so it would return
+        the other config's row."""
+        path = tmp_path / "results.csv"
+        cfg_a = _tiny_sweep(train=dataclasses.replace(default_sweep_config().train, epochs=1))
+        cfg_b = _tiny_sweep(train=dataclasses.replace(default_sweep_config().train, epochs=3,
+                                                      learning_rate=0.02))
+        run_sweep(cfg_a, path)
+        rows = run_sweep(cfg_b, path)
+        fresh = run_sweep(cfg_b, tmp_path / "fresh.csv")
+        assert [_text(r) for r in rows] == [_text(r) for r in fresh]
+        assert [_text(r) for r in read_sweep_results(path)] == [_text(r) for r in fresh]
 
     def test_divergent_cell_is_recorded_not_raised(self, tmp_path):
         cfg = _tiny_sweep(
