@@ -25,23 +25,21 @@ member and its rows computes.
 A row whose projected step leaves its iterate unchanged bit for bit is at
 a fixed point: attacked every step, its next gradient comes from the same
 input at the same batch position, so it takes the same signs and the
-same clip on every later step.  A batch of more than one gradient block
-(512 rows) therefore drops such rows from its remaining steps, which is
-exact for them; below that a step costs per-call overhead, not rows, and
-every row takes every step.  The rows still moving are evaluated
-together at fewer rows, so they keep the sign-only caveat above about
-batch shape.  In a stack a row stays in while any member still moves
-it, and a member whose copy of the row has stopped keeps its iterate.
+same clip on every later step.  One rule decides which batches drop rows:
+only a single Network attacking more than one gradient block (512 rows)
+drops such rows from its remaining steps, which is exact for them.  The
+rows still moving are evaluated together at fewer rows, so they keep the
+sign-only caveat above about batch shape.  A smaller batch, where a step
+costs per-call overhead rather than rows, and a network stack of any size
+step every row every step.
 
 robust_accuracy counts a row only when it is classified correctly clean,
-so past one gradient block its attack takes no step on a row that no
-member classifies correctly: that row keeps its clipped random start.
-The rows it attacks run through the same loop as pgd_batch's, with the
-same sign-only caveat about batch shape; at 512 rows or fewer every row
-takes every step.  Its on_step sees each step's iterate over all rows,
-in pgd_batch's shape.  pgd_batch, clean_accuracy and robust_accuracy
-take a stack wherever they take a Network; the accuracies then come
-back one per member.
+so where rows are dropped its attack also takes no step on a row the
+network misclassifies clean: that row keeps its clipped random start.
+Everywhere else every row takes every step.  Its on_step sees each
+step's iterate over all rows, in pgd_batch's shape.  pgd_batch,
+clean_accuracy and robust_accuracy take a stack wherever they take a
+Network; the accuracies then come back one per member.
 """
 
 from __future__ import annotations
@@ -71,7 +69,7 @@ class AttackConfig(Record):
             raise ValueError("epsilon must be finite and non-negative")
         if not math.isfinite(self.step_size) or self.step_size <= 0:
             raise ValueError("step_size must be finite and positive")
-        if not isinstance(self.steps, int) or self.steps < 1:
+        if type(self.steps) is not int or self.steps < 1:
             raise ValueError("steps must be a positive integer")
         if self.steps > 1 and self.epsilon > 0 and self.step_size > 2.0 * self.epsilon:
             raise ValueError("step_size above 2 * epsilon makes iteration pointless")
@@ -133,48 +131,41 @@ def pgd_batch(
     holds rows shared by every member, shape (n, d), or one batch per
     member, shape (S, n, d); either way every member takes the same
     start, the bounds and the start are computed once, and the returned
-    iterate has shape (S, n, d).  Past 512 rows, rows at a fixed point
-    take no further steps (module docstring); on_step still sees every
-    step's iterate as a fresh array.
+    iterate has shape (S, n, d).  A single Network past 512 rows stops
+    stepping rows at a fixed point (module docstring); on_step still sees
+    every step's iterate as a fresh array.
     """
     X = _check_batch(net, _check_finite(np.asarray(X, dtype=np.float64)))
     y = _check_label_shape(X, y)
-    return _pgd_rows(net, X, y, cfg, rng_seed, np.arange(X.shape[-2]), on_step)
+    return _pgd_rows(net, X, y, cfg, rng_seed, np.ones(X.shape[-2], dtype=bool), on_step)
 
 
-def _pgd_rows(net, X, y, cfg, rng_seed, rows, on_step):
-    """pgd_batch's attack on checked rows X and labels y.  Past one
-    gradient block only the rows indexed by rows take steps, until they
-    reach a fixed point, and every other row keeps its clipped start; at
-    one block or fewer every row takes every step."""
+def _pgd_rows(net, X, y, cfg, rng_seed, attack, on_step):
+    """pgd_batch's attack on checked rows X and labels y.  A single
+    Network past one gradient block steps only the rows where the boolean
+    mask attack is set, until each reaches a fixed point, and every other
+    row keeps its clipped start.  A smaller batch, or a stack, steps every
+    row every step and ignores attack."""
     lo, hi = _ball_bounds(X, cfg.epsilon)
     cur = X.copy()
     if cfg.random_start and cfg.epsilon > 0:
         start = np.random.default_rng(rng_seed).uniform(-cfg.epsilon, cfg.epsilon, X.shape[-2:])
         # np.clip's bits on finite input, without its Python wrappers.
         cur = np.minimum(np.maximum(cur + start, lo), hi)
-    # Past one gradient block: the iterate in its full (S, n, d) shape on a
-    # stack, and per member whether each row still attacked moved last step.
-    compact = X.shape[-2] > _GRAD_BLOCK_ROWS
-    if compact:
-        cur = np.broadcast_to(cur, net.weights[0].shape[:-2] + X.shape[-2:])
-        moved = np.ones(rows.size, dtype=bool)
+    compact = isinstance(net, Network) and X.shape[0] > _GRAD_BLOCK_ROWS
+    rows = np.flatnonzero(attack) if compact else None
     for step in range(cfg.steps):
         if not compact:
             g = grad_input_batch(net, cur, y)
             cur = np.minimum(np.maximum(cur + cfg.step_size * np.sign(g), lo), hi)
         elif rows.size:
-            part = cur.take(rows, axis=-2)
+            part = cur.take(rows, axis=0)
             g = grad_input_batch(net, part, y.take(rows))
             new = np.minimum(np.maximum(part + cfg.step_size * np.sign(g),
-                                        lo.take(rows, axis=-2)), hi.take(rows, axis=-2))
-            if not moved.all():
-                new = np.where(moved[..., None], new, part)
-            moved = (new.view(np.int64) != part.view(np.int64)).any(axis=-1)
+                                        lo.take(rows, axis=0)), hi.take(rows, axis=0))
             cur = cur.copy()
-            cur[..., rows, :] = new
-            keep = moved.reshape(-1, rows.size).any(axis=0)
-            rows, moved = rows[keep], moved[..., keep]
+            cur[rows] = new
+            rows = rows[(new.view(np.int64) != part.view(np.int64)).any(axis=1)]
         elif on_step is not None:
             cur = cur.copy()
         if on_step is not None:
@@ -206,13 +197,12 @@ def robust_accuracy(net: Network | NetworkStack, X, y, cfg: AttackConfig, rng_se
     (ICLR 2018).  So it never exceeds clean accuracy, and with epsilon = 0
     it equals clean accuracy.
 
-    Past 512 rows the attack skips every row that no member classifies
+    A single Network past 512 rows attacks only the rows it classifies
     correctly clean (module docstring); on_step still sees the iterate
     over all rows, in pgd_batch's shape.
     """
     X = _check_batch(net, _check_finite(np.asarray(X, dtype=np.float64)))
     y = _check_labels(X, y)
     clean = np.sign(forward_batch(net, X).f) == y
-    rows = np.flatnonzero(clean.any(axis=tuple(range(clean.ndim - 1))))
-    adv = _pgd_rows(net, X, y, cfg, rng_seed, rows, on_step)
+    adv = _pgd_rows(net, X, y, cfg, rng_seed, clean, on_step)
     return _rate(clean & (np.sign(forward_batch(net, adv).f) == y))

@@ -169,12 +169,11 @@ def _random_check_net(rng: np.random.Generator, trial: int) -> Network:
 def _single_layer_closed_form(net: Network, x: np.ndarray, y: float) -> np.ndarray:
     """Directly coded diagonal for a one-hidden-layer scalar-output net."""
     trace = forward(net, x)
-    z_hidden = trace.z[0][0]
     h_hidden = trace.h[1][0]
     w_out = net.weights[1][0]
     resid = trace.f[0] - y
-    s1 = d1(net.activation, z_hidden)
-    s2 = d2(net.activation, z_hidden)
+    s1 = trace.d1[0][0]
+    s2 = d2(net.activation, trace.z[0][0])
     gw = np.outer(w_out * s1, x) ** 2 + resid * np.outer(w_out * s2, x**2)
     gb = (w_out * s1) ** 2 + resid * (w_out * s2)
     return np.concatenate([gw.ravel(), gb, h_hidden**2, np.ones(1)])
@@ -185,6 +184,8 @@ def cmd_hessian_check(args) -> int:
         raise _UsageError("trials must be at least 1")
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise _UsageError("tolerance must be finite and non-negative")
+    if args.seed < 0:
+        raise _UsageError("seed must be non-negative")
     rng = np.random.default_rng(args.seed)
     tol = args.tolerance
     explicit = None

@@ -8,7 +8,7 @@ artifacts diffable and testable without an image library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 WIDTH = 640
 HEIGHT = 440
@@ -86,7 +86,7 @@ def render_chart(spec: ChartSpec) -> str:
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
     y_lo, y_hi = min(ys), max(ys)
-    pad = 0.05 * (y_hi - y_lo) if y_hi > y_lo else max(0.5, abs(y_lo) * 0.1, 0.5)
+    pad = 0.05 * (y_hi - y_lo) if y_hi > y_lo else max(0.5, abs(y_lo) * 0.1)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT

@@ -73,9 +73,9 @@ class TrainConfig(Record):
     attack: AttackConfig | None = None
 
     def __post_init__(self):
-        if not isinstance(self.epochs, int) or self.epochs < 1:
+        if type(self.epochs) is not int or self.epochs < 1:
             raise ValueError("epochs must be a positive integer")
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
+        if type(self.batch_size) is not int or self.batch_size < 1:
             raise ValueError("batch_size must be a positive integer")
         if not math.isfinite(self.learning_rate) or self.learning_rate < 0:
             raise ValueError("learning_rate must be finite and non-negative")
@@ -250,6 +250,10 @@ class SweepConfig(Record):
             raise ValueError("betas must be a nonempty subset of {0, 1, 2}")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
+        if min(self.seeds) < 0:  # refused before the results file is opened
+            raise ValueError("seeds must be non-negative")
+        if self.dataset_seed < 0:
+            raise ValueError("dataset_seed must be non-negative")
         for name in ("betas", "seeds"):  # a repeat would run and write its cells twice
             if len(set(getattr(self, name))) < len(getattr(self, name)):
                 raise ValueError(f"{name} must not repeat")

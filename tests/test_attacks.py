@@ -19,14 +19,13 @@ from curvact.attacks import (
 )
 from curvact.data import GeneratorSpec, make_dataset
 from curvact.network import (
-    NetworkStack,
     forward_batch,
     grad_input_batch,
     init_network,
     loss,
     stack_networks,
 )
-from curvact.training import DEFAULT_EVAL_ATTACK, TrainConfig, train_network
+from curvact.training import DEFAULT_EVAL_ATTACK, TrainConfig, default_sweep_config, train_network
 from helpers import pgd_reference
 
 
@@ -67,6 +66,8 @@ class TestAttackConfig:
             AttackConfig(0.3, 0.03, 0, False)
         with pytest.raises(ValueError, match="steps"):
             AttackConfig(0.3, 0.03, 2.0, False)
+        with pytest.raises(ValueError, match="steps"):
+            AttackConfig(0.3, 0.03, True, False)
 
     def test_step_size_sanity_bound(self):
         with pytest.raises(ValueError, match="step_size"):
@@ -382,8 +383,14 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-@pytest.mark.parametrize("n", [513, 700, 1100])
-@pytest.mark.parametrize("model", ["network", "stack", "per-member"])
+# One seed group of the default sweep: every beta at every curvature target.
+SEED_GROUP = [(beta, c) for beta in default_sweep_config().betas
+              for c in default_sweep_config().curvature_targets]
+
+
+@pytest.mark.parametrize("model, n", [
+    (model, n) for model in ("network", "stack", "per-member") for n in (513, 700, 1100)
+] + [("seed-group", 600)])
 @pytest.mark.parametrize("cfg", [
     AttackConfig(0.3, 0.075, 10, True),
     AttackConfig(0.3, 0.075, 10, False),
@@ -391,12 +398,15 @@ def _bits(a):
     AttackConfig(0.3, 0.3, 1, True),
 ], ids=["random-start", "no-random-start", "epsilon-0", "one-step"])
 def test_pgd_batch_equals_the_every_row_reference(n, model, cfg, monkeypatch):
-    """Past one gradient block, rows at a fixed point leave the loop; every
-    step's iterate still equals the one every row's stepping gives, bit for
-    bit, and a stack member still equals its solo attack, on shared rows
-    and on rows of its own."""
+    """Past one gradient block, rows at a fixed point leave a single
+    network's loop, and a stack steps every row every step; either way
+    every step's iterate equals the one every row's stepping gives, bit
+    for bit, and a stack member still equals its solo attack, on shared
+    rows and on rows of its own.  The 30-member stack is laid out as one
+    seed group of the default sweep."""
     X, y = _moon_batch(n=n)
-    nets = _family_nets(((0, 0.5), (1, 7.0), (2, 50.0)))
+    nets = _family_nets(SEED_GROUP if model == "seed-group"
+                        else ((0, 0.5), (1, 7.0), (2, 50.0)))
     net = nets[0] if model == "network" else stack_networks(nets)
     if model == "per-member":
         X = X + np.random.default_rng(8).normal(scale=0.05, size=(len(nets),) + X.shape)
@@ -415,7 +425,9 @@ def test_pgd_batch_equals_the_every_row_reference(n, model, cfg, monkeypatch):
     for step, (a, b) in enumerate(zip(got, want)):
         np.testing.assert_array_equal(_bits(a), _bits(b), err_msg=f"step {step}")
         assert not any(np.shares_memory(a, c) for c in got[:step])
-    if cfg.epsilon == 0:
+    if model != "network":
+        assert rows == [n] * cfg.steps
+    elif cfg.epsilon == 0:
         assert rows == [n]
     elif cfg.steps > 1:
         assert min(rows) < n
@@ -447,36 +459,6 @@ def test_rows_at_a_fixed_point_stay_there():
     assert np.all(stopped[-1].sum(axis=-1) > 0)
 
 
-def test_stopped_member_keeps_its_row_while_another_member_moves_it(monkeypatch):
-    """Past one gradient block, a row stays in the loop while any member
-    still moves it, and a member whose copy of the row has stopped keeps
-    its iterate even when its gradient changes afterwards.  The gradient
-    is scripted per step: member 0 pushes every row to the ball bound in
-    one step, stops there on the next, and from step 5 on its sign flips;
-    member 1 alternates its sign, so it moves every row on every step."""
-    cfg = AttackConfig(epsilon=0.3, step_size=0.3, steps=10, random_start=False)
-    X, y = _moon_batch(n=600)
-    stack = stack_networks(_family_nets(((0, 0.5), (1, 7.0))))
-    calls = []
-
-    def scripted(net, X, y):
-        step = len(calls)
-        calls.append(X.shape[-2])
-        member0 = np.full(X.shape[-2:], 1.0 if step < 5 else -1.0)
-        member1 = np.full(X.shape[-2:], (-1.0) ** step)
-        return np.stack([member0, member1]) if isinstance(net, NetworkStack) else member0
-
-    monkeypatch.setattr(atk, "grad_input_batch", scripted)
-    out = pgd_batch(stack, X, y, cfg, rng_seed=0)
-    assert calls == [600] * cfg.steps  # member 1 kept every row in
-    calls.clear()
-    solo = pgd_batch(stack.member(0), X, y, cfg, rng_seed=0)
-    assert calls == [600] * 2  # one step to the bound, one at it
-    _, hi = atk._ball_bounds(X, cfg.epsilon)
-    np.testing.assert_array_equal(_bits(solo), _bits(hi))
-    np.testing.assert_array_equal(_bits(out[0]), _bits(solo))
-
-
 def _clipped_start(X, cfg, rng_seed):
     lo, hi = atk._ball_bounds(X, cfg.epsilon)
     return np.clip(X + np.random.default_rng(rng_seed).uniform(-cfg.epsilon, cfg.epsilon,
@@ -487,11 +469,11 @@ def _clipped_start(X, cfg, rng_seed):
 @pytest.mark.parametrize("model", ["network", "stack", "per-member"])
 def test_robust_accuracy_attacks_the_rows_it_can_count(n, model, monkeypatch):
     """Robust accuracy is the share of rows correct clean and under the
-    every-row reference attack.  Past one gradient block only the rows
-    some member classifies correctly are attacked, bit for bit as the
-    reference attacks them, and the others keep their clipped start; at
-    one block or fewer every row takes every step.  Either way on_step
-    sees each step's iterate over all rows, inside the ball."""
+    every-row reference attack.  A single network past one gradient block
+    attacks only the rows it classifies correctly, bit for bit as the
+    reference attacks them, and the others keep their clipped start; a
+    stack, or one block or fewer, steps every row every step.  Either way
+    on_step sees each step's iterate over all rows, inside the ball."""
     cfg = DEFAULT_EVAL_ATTACK
     X, y = _moon_batch(n=n)
     nets = _family_nets(((0, 0.5), (1, 7.0), (2, 50.0)))
@@ -512,7 +494,8 @@ def test_robust_accuracy_attacks_the_rows_it_can_count(n, model, monkeypatch):
     monkeypatch.setattr(atk, "grad_input_batch", spy)
     np.testing.assert_array_equal(
         robust_accuracy(net, X, y, cfg, 5, on_step=lambda s, cur: got.append(cur)), expected)
-    attacked = clean.reshape(-1, n).any(axis=0) if n > 512 else np.ones(n, dtype=bool)
+    drops = model == "network" and n > 512
+    attacked = clean if drops else np.ones(n, dtype=bool)
     start = np.broadcast_to(_clipped_start(X, cfg, 5), ref.shape)
     assert len(got) == cfg.steps
     for step, (a, b) in enumerate(zip(got, want)):
@@ -521,10 +504,10 @@ def test_robust_accuracy_attacks_the_rows_it_can_count(n, model, monkeypatch):
                                       err_msg=f"step {step}")
         np.testing.assert_array_equal(_bits(a[..., ~attacked, :]),
                                       _bits(start[..., ~attacked, :]), err_msg=f"step {step}")
-    if n <= 512:
-        assert rows == [n] * cfg.steps
-    else:
+    if drops:
         assert 0 < attacked.sum() < n and rows[0] == attacked.sum() and max(rows) < n
+    else:
+        assert rows == [n] * cfg.steps
 
 
 def test_row_that_one_member_classifies_correctly_is_attacked():
@@ -546,21 +529,31 @@ def test_row_that_one_member_classifies_correctly_is_attacked():
 
 @pytest.mark.parametrize("model", ["network", "stack"])
 def test_no_gradient_when_every_row_is_misclassified(model, monkeypatch):
-    """Past one gradient block, a batch no member classifies correctly
-    scores 0 without one gradient; on_step still sees a fresh iterate of
-    the full shape, the clipped start, at every step."""
+    """Past one gradient block, a batch the network classifies wrongly
+    everywhere scores 0 without one gradient; on_step still sees a fresh
+    iterate of the full shape, the clipped start, at every step.  A stack
+    steps every row anyway and also scores 0 for every member."""
     X = np.random.default_rng(4).uniform(-1.0, 1.0, size=(600, 2))
     y = -np.sign(X[:, 0])
     nets = [_linear_net([1.0, 0.0]), _linear_net([2.0, 0.0])]
     net = nets[0] if model == "network" else stack_networks(nets)
     calls, got = [], []
-    monkeypatch.setattr(atk, "grad_input_batch", lambda *a: calls.append(a))
+
+    def spy(net, X, y):
+        calls.append(X.shape[-2])
+        return grad_input_batch(net, X, y)
+
+    monkeypatch.setattr(atk, "grad_input_batch", spy)
     acc = robust_accuracy(net, X, y, TestPgd.CFG, rng_seed=6,
                           on_step=lambda s, cur: got.append(cur))
     np.testing.assert_array_equal(acc, np.zeros(len(nets)) if model == "stack" else 0.0)
-    assert calls == [] and len(got) == TestPgd.CFG.steps
+    assert len(got) == TestPgd.CFG.steps
+    if model == "stack":
+        assert calls == [600] * TestPgd.CFG.steps
+        return
+    assert calls == []
     start = _clipped_start(X, TestPgd.CFG, 6)
     for step, cur in enumerate(got):
-        assert cur.shape == forward_batch(net, X).f.shape + (2,)
-        np.testing.assert_array_equal(_bits(cur), _bits(np.broadcast_to(start, cur.shape)))
+        assert cur.shape == X.shape
+        np.testing.assert_array_equal(_bits(cur), _bits(start))
         assert not any(np.shares_memory(cur, c) for c in got[:step])

@@ -220,6 +220,8 @@ class TestHessianCheck:
 
     def test_usage_errors(self, capsys):
         assert main(["hessian-check", "--trials", "0"]) == 1
+        assert main(["hessian-check", "--seed", "-1"]) == 1
+        assert "usage error: seed must be non-negative" in capsys.readouterr().err
         # nan would read as a numerical FAIL (exit 2), inf as a PASS for
         # any diagonal: neither is a tolerance.
         for tol in ("-1", "nan", "inf"):
@@ -368,9 +370,14 @@ class TestSweepAndPlot:
         (None, "widths", [2, 4, 2]),
         (None, "betas", [1, 1]),
         (None, "seeds", [0, 0]),
+        # Seeds numpy's generators refuse.
+        (None, "seeds", [-1]),
+        (None, "dataset_seed", -1),
     ])
     def test_sweep_with_mistyped_config_returns_1(self, tmp_path, capsys,
                                                   section, key, value):
+        """The config is refused before the results file is opened: no
+        file is made, and one that holds rows keeps its bytes."""
         data = _tiny_sweep_dict()
         (data if section is None else data[section])[key] = value
         bad = tmp_path / "bad.json"
@@ -379,6 +386,10 @@ class TestSweepAndPlot:
         assert main(["sweep", "--config", str(bad), "--output", str(out)]) == 1
         assert key in capsys.readouterr().err
         assert not out.exists()
+        out.write_bytes(b"header\nrow\n")
+        assert main(["sweep", "--config", str(bad), "--output", str(out)]) == 1
+        assert out.read_bytes() == b"header\nrow\n"
+        capsys.readouterr()
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_sweep_with_fewer_than_one_job_is_a_usage_error(self, tmp_path, capsys, jobs):

@@ -1,7 +1,9 @@
 """The package's export list: every name in curvact.__all__ exists, none
 is listed twice, and a star import succeeds.  Also the package's settable
-values, the count ROADMAP aim 2 tracks, and what a fresh import loads."""
+values, the count ROADMAP aim 2 tracks, what a fresh import loads and
+which imported names each module reads."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -35,6 +37,12 @@ SETTABLE_VALUES = [
     "training.run_sweep(progress)",
     "training.run_sweep(resume)",
 ]
+
+
+# Names a module imports without reading them: the package's exports, and
+# the two hessian names the benchmark's tracer wraps.
+IMPORTED_UNREAD = {"__init__": set(curvact.__all__),
+                   "hessian": {"forward", "backprop_deltas"}}
 
 
 def _settable_values():
@@ -92,3 +100,19 @@ def test_settable_values_are_the_listed_ones():
         f"settable values changed (added {added}, removed {removed}): update "
         f"SETTABLE_VALUES and ROADMAP aim 2's count, now {len(found)}")
     assert len(found) == len(SETTABLE_VALUES) == 18
+
+
+def test_every_imported_name_is_read():
+    unread = {}
+    for path in sorted(Path(curvact.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        extra = imported - read - IMPORTED_UNREAD.get(path.stem, set())
+        if extra:
+            unread[path.stem] = sorted(extra)
+    assert unread == {}

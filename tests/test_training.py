@@ -77,6 +77,11 @@ class TestTrainConfig:
             _quick_cfg(epochs=2.0)
         with pytest.raises(ValueError, match="batch_size"):
             _quick_cfg(batch_size=0)
+        # bool is an int subclass; True is not a count.
+        with pytest.raises(ValueError, match="epochs"):
+            _quick_cfg(epochs=True)
+        with pytest.raises(ValueError, match="batch_size"):
+            _quick_cfg(batch_size=True)
         with pytest.raises(ValueError, match="learning_rate"):
             _quick_cfg(learning_rate=-0.1)
         with pytest.raises(ValueError, match="learning_rate"):
@@ -304,6 +309,9 @@ class TestSweepConfig:
         (None, "widths", [2, 4, 2], "widths"),
         (None, "betas", [1, 1], "betas"),
         (None, "seeds", [0, 0], "seeds"),
+        # Seeds numpy's generators refuse.
+        (None, "seeds", [0, -1], "seeds"),
+        (None, "dataset_seed", -1, "dataset_seed"),
         # A sequence that is not a list, a kind that is not a string, and a
         # null attack, which the adversarial template must set.
         (None, "seeds", 3, r"SweepConfig\.seeds must be a list"),
