@@ -263,7 +263,6 @@ def _kernel(spec: ActivationSpec, x: np.ndarray, order: int) -> list[np.ndarray]
 class CurvatureProfile:
     """Location and size of the largest |sigma''|; max_abs_d2 = inf for kinks."""
 
-    spec: ActivationSpec
     argmax_x: float
     max_abs_d2: float
 
@@ -292,10 +291,10 @@ def max_abs_d2(spec: ActivationSpec) -> CurvatureProfile:
     a bounded scalar search on [-1, 1].
     """
     if spec.kind in _PEAKS_AT_ORIGIN:
-        return CurvatureProfile(spec, 0.0, _PEAKS_AT_ORIGIN[spec.kind])
+        return CurvatureProfile(0.0, _PEAKS_AT_ORIGIN[spec.kind])
     member = _AS_FAMILY.get(spec.kind, spec)
     if member.kind == "rct_af":
-        return CurvatureProfile(spec, 0.0, float(member.alpha / _PEAK_DIVISORS[member.beta]))
+        return CurvatureProfile(0.0, float(member.alpha / _PEAK_DIVISORS[member.beta]))
     # mish: |sigma''| is unimodal on [-1, 1] and holds its global peak there
     # (0.644 near x = -0.088; the other local maxima are 0.042 near -3.27 and
     # 0.059 near 2.11).  The default xatol of 1e-5 leaves the argmax 1.4e-6
@@ -306,7 +305,7 @@ def max_abs_d2(spec: ActivationSpec) -> CurvatureProfile:
 
     res = minimize_scalar(lambda x: -abs(d2(spec, x)), bounds=(-1.0, 1.0),
                           method="bounded", options={"xatol": 1e-10})
-    return CurvatureProfile(spec, float(res.x), float(-res.fun))
+    return CurvatureProfile(float(res.x), float(-res.fun))
 
 
 def alpha_for_curvature(beta: int, target: float) -> float:

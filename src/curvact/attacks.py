@@ -25,19 +25,18 @@ member and its rows computes.
 A row whose projected step leaves its iterate unchanged bit for bit is at
 a fixed point: attacked every step, its next gradient comes from the same
 input at the same batch position, so it takes the same signs and the
-same clip on every later step.  One rule decides which batches drop rows:
-only a single Network attacking more than one gradient block (512 rows)
-drops such rows from its remaining steps, which is exact for them.  The
-rows still moving are evaluated together at fewer rows, so they keep the
-sign-only caveat above about batch shape.  A smaller batch, where a step
-costs per-call overhead rather than rows, and a network stack of any size
-step every row every step.
+same clip on every later step.  One rule, by network type, decides which
+attacks drop rows: a single Network drops such rows from its remaining
+steps, at any batch size, which is exact for them.  The rows still
+moving are evaluated together at fewer rows, so they keep the sign-only
+caveat above about batch shape.  A network stack steps every row every
+step.
 
 robust_accuracy counts a row only when it is classified correctly clean,
-so where rows are dropped its attack also takes no step on a row the
+so on a single Network its attack also takes no step on a row the
 network misclassifies clean: that row keeps its clipped random start.
-Everywhere else every row takes every step.  Its on_step sees each
-step's iterate over all rows, in pgd_batch's shape.  pgd_batch,
+On a stack every row takes every step.  Its on_step sees each step's
+iterate over all rows, in pgd_batch's shape.  pgd_batch,
 clean_accuracy and robust_accuracy take a stack wherever they take a
 Network; the accuracies then come back one per member.
 """
@@ -49,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import _GRAD_BLOCK_ROWS, Network, NetworkStack, forward_batch, grad_input_batch
+from .network import Network, NetworkStack, forward_batch, grad_input_batch
 from .network import _check_batch
 from .network import _check_labels as _check_label_shape
 from .record import Record
@@ -71,6 +70,8 @@ class AttackConfig(Record):
             raise ValueError("step_size must be finite and positive")
         if type(self.steps) is not int or self.steps < 1:
             raise ValueError("steps must be a positive integer")
+        if type(self.random_start) is not bool:
+            raise ValueError("random_start must be True or False")
         if self.steps > 1 and self.epsilon > 0 and self.step_size > 2.0 * self.epsilon:
             raise ValueError("step_size above 2 * epsilon makes iteration pointless")
 
@@ -131,9 +132,9 @@ def pgd_batch(
     holds rows shared by every member, shape (n, d), or one batch per
     member, shape (S, n, d); either way every member takes the same
     start, the bounds and the start are computed once, and the returned
-    iterate has shape (S, n, d).  A single Network past 512 rows stops
-    stepping rows at a fixed point (module docstring); on_step still sees
-    every step's iterate as a fresh array.
+    iterate has shape (S, n, d).  A single Network stops stepping rows at
+    a fixed point (module docstring); on_step still sees every step's
+    iterate as a fresh array.
     """
     X = _check_batch(net, _check_finite(np.asarray(X, dtype=np.float64)))
     y = _check_label_shape(X, y)
@@ -142,20 +143,19 @@ def pgd_batch(
 
 def _pgd_rows(net, X, y, cfg, rng_seed, attack, on_step):
     """pgd_batch's attack on checked rows X and labels y.  A single
-    Network past one gradient block steps only the rows where the boolean
-    mask attack is set, until each reaches a fixed point, and every other
-    row keeps its clipped start.  A smaller batch, or a stack, steps every
-    row every step and ignores attack."""
+    Network steps only the rows where the boolean mask attack is set,
+    until each reaches a fixed point, and every other row keeps its
+    clipped start.  A stack steps every row every step and ignores
+    attack."""
     lo, hi = _ball_bounds(X, cfg.epsilon)
     cur = X.copy()
     if cfg.random_start and cfg.epsilon > 0:
         start = np.random.default_rng(rng_seed).uniform(-cfg.epsilon, cfg.epsilon, X.shape[-2:])
         # np.clip's bits on finite input, without its Python wrappers.
         cur = np.minimum(np.maximum(cur + start, lo), hi)
-    compact = isinstance(net, Network) and X.shape[0] > _GRAD_BLOCK_ROWS
-    rows = np.flatnonzero(attack) if compact else None
+    rows = np.flatnonzero(attack) if isinstance(net, Network) else None
     for step in range(cfg.steps):
-        if not compact:
+        if rows is None:
             g = grad_input_batch(net, cur, y)
             cur = np.minimum(np.maximum(cur + cfg.step_size * np.sign(g), lo), hi)
         elif rows.size:
@@ -163,13 +163,10 @@ def _pgd_rows(net, X, y, cfg, rng_seed, attack, on_step):
             g = grad_input_batch(net, part, y.take(rows))
             new = np.minimum(np.maximum(part + cfg.step_size * np.sign(g),
                                         lo.take(rows, axis=0)), hi.take(rows, axis=0))
-            cur = cur.copy()
             cur[rows] = new
             rows = rows[(new.view(np.int64) != part.view(np.int64)).any(axis=1)]
-        elif on_step is not None:
-            cur = cur.copy()
         if on_step is not None:
-            on_step(step, cur)
+            on_step(step, cur.copy())
     return cur
 
 
@@ -197,9 +194,9 @@ def robust_accuracy(net: Network | NetworkStack, X, y, cfg: AttackConfig, rng_se
     (ICLR 2018).  So it never exceeds clean accuracy, and with epsilon = 0
     it equals clean accuracy.
 
-    A single Network past 512 rows attacks only the rows it classifies
-    correctly clean (module docstring); on_step still sees the iterate
-    over all rows, in pgd_batch's shape.
+    A single Network attacks only the rows it classifies correctly clean
+    (module docstring); on_step still sees the iterate over all rows, in
+    pgd_batch's shape.
     """
     X = _check_batch(net, _check_finite(np.asarray(X, dtype=np.float64)))
     y = _check_labels(X, y)

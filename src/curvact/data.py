@@ -56,14 +56,12 @@ class GeneratorSpec(Record):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Inputs, labels and a fixed 80/20 split, tagged with their provenance."""
+    """Inputs, labels and a fixed 80/20 split."""
 
     inputs: np.ndarray
     labels: np.ndarray
     train_idx: np.ndarray
     test_idx: np.ndarray
-    generator: GeneratorSpec
-    seed: int
 
     @property
     def x_train(self) -> np.ndarray:
@@ -126,6 +124,4 @@ def make_dataset(generator: GeneratorSpec, n: int, seed: int) -> Dataset:
         labels=labels,
         train_idx=perm[:n_train],
         test_idx=perm[n_train:],
-        generator=generator,
-        seed=int(seed),
     )

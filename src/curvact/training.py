@@ -43,7 +43,7 @@ from .network import (
     mean_loss,
     stack_networks,
 )
-from .record import Record
+from .record import Record, _decode, _hints
 
 DEFAULT_EVAL_ATTACK = AttackConfig(epsilon=0.25, step_size=0.015625, steps=40, random_start=True)
 
@@ -69,7 +69,7 @@ class TrainConfig(Record):
     epochs: int
     batch_size: int
     learning_rate: float
-    momentum: float = 0.9
+    momentum: float
     attack: AttackConfig | None = None
 
     def __post_init__(self):
@@ -235,11 +235,11 @@ class SweepConfig(Record):
     eval_attack: AttackConfig
 
     def __post_init__(self):
-        object.__setattr__(self, "curvature_targets",
-                           tuple(float(c) for c in self.curvature_targets))
-        object.__setattr__(self, "betas", tuple(int(b) for b in self.betas))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        for name in ("curvature_targets", "betas", "seeds", "widths", "dataset_n", "dataset_seed"):
+            value = getattr(self, name)  # JSON's rules, on a tuple or a list alike
+            value = list(value) if isinstance(value, tuple) else value
+            object.__setattr__(self, name, _decode(value, _hints(SweepConfig)[name],
+                                                   f"SweepConfig.{name}"))
         if not self.curvature_targets:
             raise ValueError("curvature_targets must be nonempty")
         if not all(math.isfinite(c) and c > 0 for c in self.curvature_targets):

@@ -224,8 +224,9 @@ def test_curvature_maxima_analytic(alpha):
     """Peak |d2| is alpha/4, alpha/2, alpha at x = 0 for beta 0, 1, 2."""
     # An integral float beta, as 1.0, is stored as the int it equals.
     for beta, scale in ((0, 0.25), (1, 0.5), (2, 1.0), (1.0, 0.5)):
-        prof = max_abs_d2(ActivationSpec("rct_af", alpha=alpha, beta=beta))
-        assert type(prof.spec.beta) is int
+        spec = ActivationSpec("rct_af", alpha=alpha, beta=beta)
+        assert type(spec.beta) is int
+        prof = max_abs_d2(spec)
         assert prof.argmax_x == 0.0
         assert prof.max_abs_d2 == pytest.approx(alpha * scale, rel=1e-12)
         assert not prof.unbounded
@@ -268,7 +269,6 @@ def test_family_kinds_report_their_member_peak(spec, beta):
     """softplus and swish are the family members (1, 0) and (1, 1), so
     their peak is the member's closed form, not a searched estimate."""
     prof, member = max_abs_d2(spec), max_abs_d2(rct_af(1.0, beta))
-    assert prof.spec == spec
     assert (prof.argmax_x, prof.max_abs_d2) == (member.argmax_x, member.max_abs_d2)
 
 

@@ -69,6 +69,13 @@ class TestAttackConfig:
         with pytest.raises(ValueError, match="steps"):
             AttackConfig(0.3, 0.03, True, False)
 
+    def test_rejects_a_random_start_that_is_not_a_bool(self):
+        # A truthy string would otherwise switch the random start on.
+        for bad in ("no", "false", 0, 1, None, np.True_):
+            with pytest.raises(ValueError, match="random_start"):
+                AttackConfig(0.3, 0.03, 5, bad)
+        assert AttackConfig(0.3, 0.03, 5, False).random_start is False
+
     def test_step_size_sanity_bound(self):
         with pytest.raises(ValueError, match="step_size"):
             AttackConfig(0.1, 0.21, 2, False)
@@ -250,7 +257,7 @@ class TestPgd:
     def test_pgd_dominates_fgsm_on_trained_net(self):
         ds = make_dataset(GeneratorSpec("two_moons", noise=0.1), n=200, seed=5)
         net = init_network((2, 8, 1), rct_af(7.0, 1), seed=0)
-        cfg = TrainConfig(epochs=30, batch_size=16, learning_rate=0.1)
+        cfg = TrainConfig(epochs=30, batch_size=16, learning_rate=0.1, momentum=0.9)
         trained, _ = train_network(net, ds, cfg, 0)
         pgd_cfg = AttackConfig(epsilon=0.3, step_size=0.03, steps=20,
                                random_start=False)
@@ -390,7 +397,7 @@ SEED_GROUP = [(beta, c) for beta in default_sweep_config().betas
 
 @pytest.mark.parametrize("model, n", [
     (model, n) for model in ("network", "stack", "per-member") for n in (513, 700, 1100)
-] + [("seed-group", 600)])
+] + [("network", n) for n in (16, 48, 512)] + [("seed-group", 600)])
 @pytest.mark.parametrize("cfg", [
     AttackConfig(0.3, 0.075, 10, True),
     AttackConfig(0.3, 0.075, 10, False),
@@ -398,12 +405,12 @@ SEED_GROUP = [(beta, c) for beta in default_sweep_config().betas
     AttackConfig(0.3, 0.3, 1, True),
 ], ids=["random-start", "no-random-start", "epsilon-0", "one-step"])
 def test_pgd_batch_equals_the_every_row_reference(n, model, cfg, monkeypatch):
-    """Past one gradient block, rows at a fixed point leave a single
-    network's loop, and a stack steps every row every step; either way
-    every step's iterate equals the one every row's stepping gives, bit
-    for bit, and a stack member still equals its solo attack, on shared
-    rows and on rows of its own.  The 30-member stack is laid out as one
-    seed group of the default sweep."""
+    """At any batch size, rows at a fixed point leave a single network's
+    loop, and a stack steps every row every step; either way every
+    step's iterate equals the one every row's stepping gives, bit for
+    bit, and a stack member still equals its solo attack, on shared rows
+    and on rows of its own.  The 30-member stack is laid out as one seed
+    group of the default sweep."""
     X, y = _moon_batch(n=n)
     nets = _family_nets(SEED_GROUP if model == "seed-group"
                         else ((0, 0.5), (1, 7.0), (2, 50.0)))
@@ -469,11 +476,11 @@ def _clipped_start(X, cfg, rng_seed):
 @pytest.mark.parametrize("model", ["network", "stack", "per-member"])
 def test_robust_accuracy_attacks_the_rows_it_can_count(n, model, monkeypatch):
     """Robust accuracy is the share of rows correct clean and under the
-    every-row reference attack.  A single network past one gradient block
+    every-row reference attack.  A single network, at any batch size,
     attacks only the rows it classifies correctly, bit for bit as the
     reference attacks them, and the others keep their clipped start; a
-    stack, or one block or fewer, steps every row every step.  Either way
-    on_step sees each step's iterate over all rows, inside the ball."""
+    stack steps every row every step.  Either way on_step sees each
+    step's iterate over all rows, inside the ball."""
     cfg = DEFAULT_EVAL_ATTACK
     X, y = _moon_batch(n=n)
     nets = _family_nets(((0, 0.5), (1, 7.0), (2, 50.0)))
@@ -494,7 +501,7 @@ def test_robust_accuracy_attacks_the_rows_it_can_count(n, model, monkeypatch):
     monkeypatch.setattr(atk, "grad_input_batch", spy)
     np.testing.assert_array_equal(
         robust_accuracy(net, X, y, cfg, 5, on_step=lambda s, cur: got.append(cur)), expected)
-    drops = model == "network" and n > 512
+    drops = model == "network"
     attacked = clean if drops else np.ones(n, dtype=bool)
     start = np.broadcast_to(_clipped_start(X, cfg, 5), ref.shape)
     assert len(got) == cfg.steps
@@ -529,10 +536,10 @@ def test_row_that_one_member_classifies_correctly_is_attacked():
 
 @pytest.mark.parametrize("model", ["network", "stack"])
 def test_no_gradient_when_every_row_is_misclassified(model, monkeypatch):
-    """Past one gradient block, a batch the network classifies wrongly
-    everywhere scores 0 without one gradient; on_step still sees a fresh
-    iterate of the full shape, the clipped start, at every step.  A stack
-    steps every row anyway and also scores 0 for every member."""
+    """A batch a single network classifies wrongly everywhere scores 0
+    without one gradient; on_step still sees a fresh iterate of the full
+    shape, the clipped start, at every step.  A stack steps every row
+    anyway and also scores 0 for every member."""
     X = np.random.default_rng(4).uniform(-1.0, 1.0, size=(600, 2))
     y = -np.sign(X[:, 0])
     nets = [_linear_net([1.0, 0.0]), _linear_net([2.0, 0.0])]

@@ -150,12 +150,6 @@ class TestMakeDataset:
         np.testing.assert_allclose(pos.mean(axis=0), [4.0, 0.0], atol=0.15)
         np.testing.assert_allclose(neg.mean(axis=0), [-4.0, 0.0], atol=0.15)
 
-    def test_generator_and_seed_recorded(self):
-        spec = GeneratorSpec("two_moons", noise=0.3)
-        ds = make_dataset(spec, 50, 13)
-        assert ds.generator == spec
-        assert ds.seed == 13
-
     def test_blobs_linear_probe(self):
         # Well-separated blobs are nearly linearly separable, so an ordinary
         # least-squares probe fit on the train split must nail the test split.

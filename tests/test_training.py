@@ -43,7 +43,7 @@ def _moons(n=120, seed=4, noise=0.1):
 
 
 def _quick_cfg(**overrides):
-    base = dict(epochs=3, batch_size=16, learning_rate=0.05)
+    base = dict(epochs=3, batch_size=16, learning_rate=0.05, momentum=0.9)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -140,7 +140,7 @@ class TestTrainNetwork:
     def test_separable_blobs_reach_high_accuracy(self):
         ds = make_dataset(GeneratorSpec("gaussian_blobs", separation=6.0), n=250, seed=11)
         net = init_network((2, 16, 1), rct_af(14.0, 1), seed=3)
-        cfg = TrainConfig(epochs=200, batch_size=32, learning_rate=0.05)
+        cfg = TrainConfig(epochs=200, batch_size=32, learning_rate=0.05, momentum=0.9)
         trained, _ = train_network(net, ds, cfg, 3)
         assert clean_accuracy(trained, ds.x_test, ds.y_test) >= 0.98
 
@@ -253,10 +253,33 @@ class TestSweepConfig:
             _tiny_sweep(betas=(3,))
         with pytest.raises(ValueError, match="seeds"):
             _tiny_sweep(seeds=())
+        # Python callers get JSON's rules: no truncated float, no bool or
+        # string as a number.
+        for field, value, message in (
+                ("seeds", (1.5,), r"SweepConfig\.seeds\[0\] must be an integer"),
+                ("seeds", (True,), r"SweepConfig\.seeds\[0\] must be a number"),
+                ("seeds", 0, r"SweepConfig\.seeds must be a list"),
+                ("betas", (1.7,), r"SweepConfig\.betas\[0\] must be an integer"),
+                ("widths", (2.9, 16, 1), r"SweepConfig\.widths\[0\] must be an integer"),
+                ("curvature_targets", ("7",), r"curvature_targets\[0\] must be a number"),
+                ("dataset_n", 240.5, r"SweepConfig\.dataset_n must be an integer"),
+                ("dataset_seed", True, r"SweepConfig\.dataset_seed must be a number")):
+            with pytest.raises(ValueError, match=message):
+                _tiny_sweep(**{field: value})
+
+    def test_grid_values_decode_as_json_does(self):
+        cfg = _tiny_sweep(seeds=[0], curvature_targets=[7], widths=[2, 6.0, 1],
+                          dataset_n=60.0)
+        assert cfg.seeds == (0,) and cfg.curvature_targets == (7.0,)
+        assert type(cfg.curvature_targets[0]) is float
+        assert cfg.widths == (2, 6, 1) and type(cfg.widths[1]) is int
+        assert cfg.dataset_n == 60 and type(cfg.dataset_n) is int
+        assert cfg == _tiny_sweep()
+        assert cfg == SweepConfig.from_dict(cfg.to_dict())
 
     def test_train_template_must_be_adversarial(self):
         cfg = default_sweep_config()
-        std = TrainConfig(epochs=2, batch_size=16, learning_rate=0.05)
+        std = TrainConfig(epochs=2, batch_size=16, learning_rate=0.05, momentum=0.9)
         with pytest.raises(ValueError, match=r"train\.attack"):
             dataclasses.replace(cfg, train=std)
 
@@ -283,9 +306,8 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="eval_attack"):
             SweepConfig.from_dict(data)
 
-    # Each bad input names the offending field.  momentum has a default in
-    # Python but is required in TrainConfig JSON, which to_dict has always
-    # written.
+    # Each bad input names the offending field.  momentum is required in
+    # TrainConfig JSON, which to_dict has always written, as in Python.
     @pytest.mark.parametrize("section, key, value, field", [
         ("train", "epochs", 40.5, "epochs"),
         ("train", "momentun", 0.5, "momentun"),
