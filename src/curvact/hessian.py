@@ -193,8 +193,8 @@ def _own_grad_entry(stack: NetworkStack, X, Y, k: np.ndarray) -> np.ndarray:
 
 def hessian_diag_fd_grad(net: Network, x, y: float, h: float = 1e-5) -> np.ndarray:
     """First central difference of the analytic gradient; second oracle."""
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"finite-difference step must be positive and finite, got {h!r}")
     X, Y = _as_row(x), np.array([float(y)])
     up, down = _fd_pairs(net, h, lambda stack, k: _own_grad_entry(stack, X, Y, k))
     return (up - down) / (2.0 * h)

@@ -27,11 +27,12 @@ A NetworkStack holds S networks of one shape side by side, weights of
 shape (S, out, in).  Its hidden activation is either one rct_af member
 of any beta per network (the sweep's curvature stack, from
 stack_networks) or one ActivationSpec of any kind that every network
-shares (the finite-difference oracles' bumped copies of one net, from
-stack_params).  forward_batch, batch_deltas, mean_loss, grad_input_batch
-and grad_params_batch take a stack wherever they take a Network: inputs
-are shared, shape (n, in), or per member, shape (S, n, in), and results
-gain a leading member axis.  Each member's results equal the same call
+shares (the finite-difference oracles' bumped copies of one net, or a
+lone network's one-member training stack, from stack_params).
+forward_batch, batch_deltas, mean_loss, grad_input_batch and
+grad_params_batch take a stack wherever they take a Network: inputs are
+shared, shape (n, in), or per member, shape (S, n, in), and results gain
+a leading member axis.  Each member's results equal the same call
 on that member alone bit for bit, because every product and reduction
 runs per member on operands laid out as in the single-network call, and
 every activation is evaluated element by element.  A plain Network runs
@@ -57,6 +58,17 @@ from .record import Record
 _GRAD_BLOCK_ROWS = 512
 
 
+def _int_width(w) -> int:
+    """w as an int; a bool or a non-integral width is a ValueError naming
+    it, not truncated."""
+    try:
+        if not isinstance(w, (bool, np.bool_)) and int(w) == w:
+            return int(w)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"layer width {w!r} is not an integer")
+
+
 @dataclass(eq=False)
 class Network(Record):
     """Weights, biases and the shared hidden activation of one network."""
@@ -67,7 +79,7 @@ class Network(Record):
     activation: ActivationSpec
 
     def __post_init__(self):
-        self.widths = tuple(int(w) for w in self.widths)
+        self.widths = tuple(_int_width(w) for w in self.widths)
         if len(self.widths) < 2:
             raise ValueError("widths must list at least input and output sizes")
         if any(w < 1 for w in self.widths):
@@ -94,14 +106,6 @@ class Network(Record):
     def param_count(self) -> int:
         return sum(self.widths[l + 1] * (self.widths[l] + 1) for l in range(self.depth))
 
-    def copy(self) -> "Network":
-        return Network(
-            self.widths,
-            [W.copy() for W in self.weights],
-            [b.copy() for b in self.biases],
-            self.activation,
-        )
-
 
 @dataclass(eq=False)
 class NetworkStack:
@@ -109,7 +113,8 @@ class NetworkStack:
     is (S, 1, out).  activation is a FamilyStack, one rct_af member per
     network (alpha (S, 1, 1), beta (S,); build it with stack_networks),
     or one ActivationSpec of any kind shared by every network (build it
-    with stack_params)."""
+    with stack_params, as train_network does to train a lone network as
+    its one-member stack)."""
 
     widths: tuple[int, ...]
     weights: list[np.ndarray]
@@ -189,7 +194,7 @@ def init_network(
     widths, activation: ActivationSpec, seed: int, scheme: str = "he"
 ) -> Network:
     """He-normal or Xavier-uniform weights, zero biases, seeded rng."""
-    widths = tuple(int(w) for w in widths)
+    widths = tuple(_int_width(w) for w in widths)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for l in range(len(widths) - 1):

@@ -77,6 +77,24 @@ def _nice_y_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
+def _line(x1, y1, x2, y2, stroke: str, width: int) -> str:
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _circle(cx, cy, fill: str) -> str:
+    return f'<circle cx="{cx}" cy="{cy}" r="3" fill="{fill}"/>'
+
+
+def _text(x, y, anchor: str, size: int, text: str, transform: str = "") -> str:
+    """A sans-serif text element; anchor and transform are left out when
+    empty, and text is escaped."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    transform = f' transform="{transform}"' if transform else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{transform}>{_escape(text)}</text>')
+
+
 def render_chart(spec: ChartSpec) -> str:
     """Return the chart as a complete SVG document; all text is escaped."""
     xs = [v for s in spec.series for v in s.x]
@@ -98,89 +116,50 @@ def render_chart(spec: ChartSpec) -> str:
     def py(v: float) -> float:
         return MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
 
+    ax_bottom = MARGIN_TOP + plot_h
+    ax_right = MARGIN_LEFT + plot_w
+    mid_y = MARGIN_TOP + plot_h // 2
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{_escape(spec.title)}</text>',
+        _text(WIDTH // 2, 24, "middle", 16, spec.title),
+        # Axes.
+        _line(MARGIN_LEFT, MARGIN_TOP, MARGIN_LEFT, ax_bottom, "black", 1),
+        _line(MARGIN_LEFT, ax_bottom, ax_right, ax_bottom, "black", 1),
     ]
-
-    # Axes.
-    ax_bottom = MARGIN_TOP + plot_h
-    ax_right = MARGIN_LEFT + plot_w
-    parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" '
-        f'y2="{ax_bottom}" stroke="black" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{ax_bottom}" x2="{ax_right}" '
-        f'y2="{ax_bottom}" stroke="black" stroke-width="1"/>'
-    )
 
     # X ticks at the distinct data positions.
     for v in sorted(set(xs)):
-        x = px(v)
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{ax_bottom}" x2="{_fmt(x)}" '
-            f'y2="{ax_bottom + 5}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{ax_bottom + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(v)}</text>'
-        )
+        x = _fmt(px(v))
+        parts.append(_line(x, ax_bottom, x, ax_bottom + 5, "black", 1))
+        parts.append(_text(x, ax_bottom + 20, "middle", 11, _tick_label(v)))
 
     # Y ticks: five evenly spaced levels with light gridlines.
     for v in _nice_y_ticks(y_lo, y_hi):
         y = py(v)
-        parts.append(
-            f'<line x1="{MARGIN_LEFT}" y1="{_fmt(y)}" x2="{ax_right}" '
-            f'y2="{_fmt(y)}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(round(v, 6))}</text>'
-        )
+        parts.append(_line(MARGIN_LEFT, _fmt(y), ax_right, _fmt(y), "#dddddd", 1))
+        parts.append(_text(MARGIN_LEFT - 8, _fmt(y + 4), "end", 11,
+                           _tick_label(round(v, 6))))
 
     # Axis labels.
-    parts.append(
-        f'<text x="{MARGIN_LEFT + plot_w // 2}" y="{HEIGHT - 12}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="13">'
-        f'{_escape(spec.x_label)}</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{MARGIN_TOP + plot_h // 2}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h // 2})">{_escape(spec.y_label)}</text>'
-    )
+    parts.append(_text(MARGIN_LEFT + plot_w // 2, HEIGHT - 12, "middle", 13, spec.x_label))
+    parts.append(_text(18, mid_y, "middle", 13, spec.y_label, f"rotate(-90 18 {mid_y})"))
 
     # Series polylines with circle markers, then the legend beside the plot.
     for i, s in enumerate(spec.series):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(s.x, s.y))
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="2"/>'
-        )
-        for a, b in zip(s.x, s.y):
-            parts.append(
-                f'<circle cx="{_fmt(px(a))}" cy="{_fmt(py(b))}" r="3" '
-                f'fill="{color}"/>'
-            )
+        pts = [(_fmt(px(a)), _fmt(py(b))) for a, b in zip(s.x, s.y)]
+        points = " ".join(f"{a},{b}" for a, b in pts)
+        parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
+                     f'stroke-width="2"/>')
+        parts.extend(_circle(a, b, color) for a, b in pts)
         ly = MARGIN_TOP + 10 + 22 * i
         lx = ax_right + 12
-        parts.append(
-            f'<line x1="{lx}" y1="{ly}" x2="{lx + 24}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<circle cx="{lx + 12}" cy="{ly}" r="3" fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 30}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">{_escape(s.label)}</text>'
-        )
+        parts.append(_line(lx, ly, lx + 24, ly, color, 2))
+        parts.append(_circle(lx + 12, ly, color))
+        parts.append(_text(lx + 30, ly + 4, "", 12, s.label))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

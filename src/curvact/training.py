@@ -38,10 +38,12 @@ from .hessian import dataset_diag_norm
 from .network import (
     Network,
     NetworkStack,
+    flat_params,
     grad_params_batch,
     init_network,
     mean_loss,
     stack_networks,
+    stack_params,
 )
 from .record import Record, _decode, _hints
 
@@ -107,14 +109,13 @@ class TrainingHistory:
 _PARAM_CEILING = 1e100
 
 
-def _params_wild(net: Network | NetworkStack) -> np.ndarray:
+def _params_wild(net: NetworkStack) -> np.ndarray:
     """Per member: True once a parameter is NaN, infinite or past the ceiling."""
-    axes = (-2, -1) if isinstance(net, NetworkStack) else None
     tame = True
     for arr in (*net.weights, *net.biases):
         # False for NaN as well, so one comparison catches NaN, inf and
         # magnitudes past the ceiling.
-        tame = tame & (np.abs(arr).max(axis=axes) <= _PARAM_CEILING)
+        tame = tame & (np.abs(arr).max(axis=(-2, -1)) <= _PARAM_CEILING)
     return ~tame
 
 
@@ -126,31 +127,33 @@ def train_network(
 ) -> tuple[Network | NetworkStack, TrainingHistory]:
     """Train a copy of net, a network or a stack; the input is never mutated.
 
-    seed draws the minibatch order and, mixed with the epoch and batch
-    index, each batch's PGD start.  With cfg.attack set every batch is
-    replaced by PGD perturbations generated against the current
+    A network trains as its one-member stack, so both run the one loop
+    below.  seed draws the minibatch order and, mixed with the epoch and
+    batch index, each batch's PGD start.  With cfg.attack set every batch
+    is replaced by PGD perturbations generated against the current
     parameters before the gradient step.
     The training split is checked for finiteness once, here (ValueError);
     after that, non-finite values mean divergence: a hidden pre-activation
     that is not finite, parameters that are NaN, infinite or past
-    _PARAM_CEILING after a step, or a non-finite epoch loss.  A network
-    raises TrainingDivergedError carrying the epoch.  A stack drops the
-    diverged members, records them in history.diverged and trains the rest
-    on, bit for bit as each would train alone; it returns the surviving
-    members in their original order.  Overflow warnings in a diverging
-    batch are suppressed so the value checks are the single signal.
+    _PARAM_CEILING after a step, or a non-finite epoch loss.  A stack
+    drops the diverged members, records them in history.diverged and
+    trains the rest on, bit for bit as each would train alone, stopping
+    once none is left; it returns the surviving members in their original
+    order.  A network that diverges raises TrainingDivergedError carrying
+    the epoch.  Overflow warnings in a diverging batch are suppressed so
+    the value checks are the single signal.
 
-    The history records the clean train loss after every epoch; the test
-    split is not read.
+    The history records the clean train loss after every epoch, one float
+    per epoch for a network; the test split is not read.
     """
     x_tr, y_tr = dataset.x_train, dataset.y_train
     if net.widths[0] != x_tr.shape[1]:
         raise ValueError("network input width does not match the dataset")
     if not (np.isfinite(x_tr).all() and np.isfinite(y_tr).all()):
         raise ValueError("training data must be finite")
-    stacked = isinstance(net, NetworkStack)
-    alive = np.arange(len(net)) if stacked else None  # positions of the members still training
-    work = net.copy()
+    stack = net if isinstance(net, NetworkStack) else stack_params(net, flat_params(net)[None])
+    alive = np.arange(len(stack))  # positions of the members still training
+    work = stack.copy()
     vel = [(np.zeros_like(W), np.zeros_like(b))
            for W, b in zip(work.weights, work.biases)]
     rng = np.random.default_rng(seed)
@@ -161,8 +164,6 @@ def train_network(
         nonlocal work, vel, alive
         if not bad.any():
             return
-        if not stacked:
-            raise TrainingDivergedError(epoch)
         history.diverged.update((int(k), epoch) for k in alive[bad])
         keep = ~bad
         work = work.take(keep)
@@ -179,9 +180,7 @@ def train_network(
                 drop(exc.members, epoch)
 
     def per_member(values):
-        if not stacked:
-            return values
-        out = np.full(len(net), np.nan)
+        out = np.full(len(stack), np.nan)
         out[alive] = values
         return out
 
@@ -191,10 +190,12 @@ def train_network(
         return grad_params_batch(w, xb, yb)
 
     for epoch in range(cfg.epochs):
-        if stacked and not len(alive):
+        if not len(alive):
             break
         perm = rng.permutation(n)
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
+            if not len(alive):  # the epoch's remaining batches would train no one
+                break
             idx = perm[start:start + cfg.batch_size]
             xb, yb, pgd_seed = x_tr[idx], y_tr[idx], _mix(seed, epoch, bi)
             grads = attempt(epoch, lambda w: batch_grads(w, xb, yb, pgd_seed))
@@ -211,7 +212,11 @@ def train_network(
         epoch_loss = attempt(epoch, lambda w: mean_loss(w, x_tr, y_tr))
         history.train_loss.append(per_member(epoch_loss))
         drop(~np.isfinite(epoch_loss), epoch)
-    return work, history
+    if isinstance(net, NetworkStack):
+        return work, history
+    if history.diverged:
+        raise TrainingDivergedError(history.diverged[0])
+    return work.member(0), TrainingHistory([float(v[0]) for v in history.train_loss], {})
 
 
 @dataclass(frozen=True)

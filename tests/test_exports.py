@@ -1,7 +1,8 @@
 """The package's export list: every name in curvact.__all__ exists, none
 is listed twice, and a star import succeeds.  Also the package's settable
-values, the count ROADMAP aim 2 tracks, what a fresh import loads and
-which imported names each module reads."""
+values, the count ROADMAP aim 2 tracks, what a fresh import loads,
+which imported names each module reads, and that README's quick start
+runs and its commands parse."""
 
 import ast
 import dataclasses
@@ -9,11 +10,13 @@ import importlib
 import inspect
 import os
 import pkgutil
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import curvact
+from curvact import cli
 
 # Defaulted arguments of public functions, as module.function(argument),
 # and defaulted init fields of public dataclasses, as module.Class.field.
@@ -129,3 +132,18 @@ def test_readme_quick_start_runs():
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[0] == "7.0"
+
+
+def test_readme_commands_parse():
+    """Every `curvact` line in README's command block parses with the CLI's
+    own parser (parse only; nothing runs), so the documented commands and
+    options cannot drift from the CLI."""
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("curvact ")]
+    assert len(commands) == 9
+    for argv in commands:
+        args = cli._build_parser().parse_args(argv[1:])
+        assert args.command == argv[1]

@@ -14,6 +14,8 @@ samples in blocks of rows; TestDatasetDiagNorm compares it with
 per-sample sums across a block boundary.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -80,8 +82,9 @@ class TestAgainstFiniteDifferences:
 
     def test_library_fd_rejects_bad_step(self):
         net = small_net()
-        with pytest.raises(ValueError, match="positive"):
-            hessian_diag_fd_grad(net, np.zeros(2), 1.0, h=-1e-5)
+        for h in (-1e-5, 0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                hessian_diag_fd_grad(net, np.zeros(2), 1.0, h=h)
 
 
 def _same_bits(got, want):

@@ -96,6 +96,22 @@ def test_init_validation():
             Network(widths, weights, biases, good.activation)
 
 
+@pytest.mark.parametrize("bad", (2.9, True, np.True_, "3", float("nan"), float("inf"), None))
+def test_widths_refuse_what_would_truncate(bad):
+    """A bool or a non-integral width is refused by name, as from_dict
+    refuses it, rather than truncated; an integral float or a numpy
+    integer is taken as its int."""
+    good = init_network((2, 3, 1), rct_af(1.0, 0), seed=0)
+    for widths in ((bad, 3, 1), (2, bad, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"layer width {bad!r} is not an integer")):
+            init_network(widths, good.activation, seed=0)
+        with pytest.raises(ValueError, match=re.escape(f"layer width {bad!r} is not an integer")):
+            Network(widths, good.weights, good.biases, good.activation)
+    net = init_network((2.0, np.int64(3), 1), good.activation, seed=0)
+    assert net.widths == (2, 3, 1) and all(type(w) is int for w in net.widths)
+    np.testing.assert_array_equal(flat_params(net), flat_params(good))
+
+
 def test_xavier_scheme_bounds():
     net = init_network((6, 5, 1), rct_af(1.0, 0), seed=3, scheme="xavier")
     limit = np.sqrt(6.0 / (6 + 5))

@@ -4,6 +4,7 @@ Geometry is verified by parsing the emitted document and comparing
 coordinates of markers, ticks and polylines; no rasterization involved.
 """
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -169,3 +170,26 @@ class TestRenderChart:
         assert texts[0] == "a<b & c"
         for text in ("x > 0", "p & q", "beta<1 & more"):
             assert text in texts
+
+
+# sha256 of render_chart's output for fixed specs: one linear series; seven
+# series on a log axis, wrapping the palette, with markup in every label; a
+# flat series of negative values.  A rewrite of the writer must keep these
+# bytes.
+GOLDEN = (
+    (ChartSpec("demo", "x", "y", [Series("a", [0.0, 1.0, 2.5], [0.3, 0.1, 0.4])]),
+     "1d995a97310d93242d2017f82facde90d6458e6f49ba092229b88b0078dc57c8"),
+    (ChartSpec("a<b & c", "curvature > 0", "p & q",
+               [Series(f"beta<{k} & more", [0.5, 2.0, 7.0, 50.0],
+                       [0.1 * k, 0.5 - 0.05 * k, 0.02 * k * k, 1.0 / (k + 1)])
+                for k in range(7)], log_x=True),
+     "52987ab0f1fabdf57a95f3ee2945729c77e1f3b2368816362517e2c0d1f90509"),
+    (ChartSpec("flat", "x", "y", [Series("s", [3.0, 1e7], [-2.5, -2.5])]),
+     "3fd849b04deeae4692ff6c6957b7f6ab81b7f8ed0ece414152fc9dbea86f97a8"),
+)
+
+
+@pytest.mark.parametrize("k", range(len(GOLDEN)))
+def test_render_chart_bytes_are_pinned(k):
+    spec, digest = GOLDEN[k]
+    assert hashlib.sha256(render_chart(spec).encode("utf-8")).hexdigest() == digest

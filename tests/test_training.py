@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 from curvact import cli
-from curvact.activations import alpha_for_curvature, rct_af
+from curvact.activations import ActivationSpec, alpha_for_curvature, rct_af
 from curvact.attacks import AttackConfig, clean_accuracy
 from curvact.data import GeneratorSpec, make_dataset
 from curvact.errors import ResultsFormatError, TrainingDivergedError
-from curvact.network import flat_params, init_network, stack_networks
+from curvact.network import flat_params, init_network, stack_networks, stack_params
 import curvact.training
 from curvact.training import (
     SWEEP_COLUMNS,
@@ -222,6 +222,52 @@ class TestTrainStack:
             np.testing.assert_array_equal(flat_params(trained.member(i)), flat_params(solo))
             assert [e[i + 1] for e in history.train_loss] == solo_hist.train_loss
         assert all(math.isnan(e[0]) for e in history.train_loss)
+
+    @pytest.mark.parametrize("kind", ("elu", "gelu"))
+    def test_shared_activation_stack_members_equal_solo_training(self, kind):
+        """A stack_params stack of another activation kind trains as its
+        members alone do; member 1, its weights at 1e200, is dropped at
+        epoch 0, as alone it raises there."""
+        ds = _moons()
+        net = init_network((2, 5, 4, 1), ActivationSpec(kind), seed=3)
+        rng = np.random.default_rng(8)
+        rows = flat_params(net) + 0.1 * rng.normal(size=(3, net.param_count))
+        stack = stack_params(net, rows)
+        for W in stack.weights:
+            W[1] = 1e200
+        cfg = _quick_cfg(attack=AttackConfig(0.25, 0.0625, 4, True))
+        trained, history = train_network(stack, ds, cfg, 2)
+        assert history.diverged == {1: 0} and len(trained) == 2
+        assert all(math.isnan(e[1]) for e in history.train_loss)
+        with pytest.raises(TrainingDivergedError) as exc:
+            train_network(stack.member(1), ds, cfg, 2)
+        assert exc.value.epoch == 0
+        for i, k in enumerate((0, 2)):
+            solo, solo_hist = train_network(stack.member(k), ds, cfg, 2)
+            assert trained.member(i).activation == ActivationSpec(kind)
+            np.testing.assert_array_equal(flat_params(trained.member(i)), flat_params(solo))
+            assert [e[k] for e in history.train_loss] == solo_hist.train_loss
+
+    def test_training_stops_once_every_member_has_diverged(self, monkeypatch):
+        """Every member overflows on the first batch: the epoch's other
+        batches are not attacked, and the history ends after that epoch."""
+        ds = _moons()
+        nets = self._nets((2, 4, 3, 1))
+        for net in nets:
+            net.weights[0][:] = 1e200
+        sizes, pgd = [], curvact.training.pgd_batch
+
+        def counting_pgd(w, *args, **kwargs):
+            sizes.append(len(w))
+            return pgd(w, *args, **kwargs)
+
+        monkeypatch.setattr(curvact.training, "pgd_batch", counting_pgd)
+        cfg = _quick_cfg(attack=AttackConfig(0.25, 0.0625, 4, True))
+        trained, history = train_network(stack_networks(nets), ds, cfg, 1)
+        assert len(trained) == 0 and history.diverged == {0: 0, 1: 0, 2: 0}
+        assert len(history.train_loss) == 1 and np.isnan(history.train_loss[0]).all()
+        # The batch that diverged may be retried once on the empty stack.
+        assert sizes[0] == 3 and sizes[1:] in ([], [0])
 
     def test_a_stack_whose_members_all_diverge_comes_back_empty(self):
         ds = _moons()
